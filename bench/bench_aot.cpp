@@ -147,10 +147,10 @@ main()
         const hdl::Pipeline pipe = hdl::compile(app.spec.prog);
         const EngineRun interp =
             runEngine(app.spec, pipe, sim::SimEngine::Interp,
-                      sim::AotBackend::DirectThreaded, num_packets);
+                      sim::AotBackend::Portable, num_packets);
         const EngineRun aot =
             runEngine(app.spec, pipe, sim::SimEngine::Aot,
-                      sim::AotBackend::DirectThreaded, num_packets);
+                      sim::AotBackend::Portable, num_packets);
         const EngineRun native =
             runEngine(app.spec, pipe, sim::SimEngine::Aot,
                       sim::AotBackend::Native, num_packets);

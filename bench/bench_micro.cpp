@@ -151,7 +151,7 @@ runPhaseBreakdown()
             sim::SimEngine engine;
             sim::AotBackend backend;
         } engines[] = {
-            {sim::SimEngine::Interp, sim::AotBackend::DirectThreaded},
+            {sim::SimEngine::Interp, sim::AotBackend::Portable},
             {sim::SimEngine::Aot, sim::AotBackend::Native},
         };
         for (const auto &e : engines) {

@@ -104,7 +104,7 @@ struct RunOptions
      */
     sim::SimEngine engine = sim::SimEngine::Interp;
     /** Requested AOT backend when engine == SimEngine::Aot. */
-    sim::AotBackend aotBackend = sim::AotBackend::DirectThreaded;
+    sim::AotBackend aotBackend = sim::AotBackend::Portable;
     /**
      * Cycle scheduling for the pipeline backends. Event-driven runs are
      * contracted to be bit-identical to dense ones, so fuzzing under

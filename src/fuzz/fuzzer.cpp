@@ -208,7 +208,9 @@ runFuzz(const FuzzOptions &opts, std::ostream *log)
         }
 
         if (opts.shrink) {
-            const ShrinkResult s = shrinkCase(c, opts.shrinkOpts);
+            // Shrink under the run options that found the divergence.
+            const ShrinkResult s =
+                shrinkCase(c, ShrinkOptions{.run = opts.run});
             rec.shrunk = s.best;
             rec.divergence = s.divergence;
             rec.shrinkRuns = s.runs;

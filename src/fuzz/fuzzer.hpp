@@ -55,8 +55,8 @@ struct FuzzOptions
     bool stopAtFirstDivergence = true;
 
     GeneratorConfig gen;
+    /** Run options for every case; shrinking reuses them. */
     RunOptions run;
-    ShrinkOptions shrinkOpts;
 };
 
 /** One divergence the campaign found. */

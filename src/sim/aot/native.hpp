@@ -1,28 +1,31 @@
 /**
  * @file
- * Native AOT backend: turns an `AotSpec` into C++ source, compiles it
- * with the host toolchain into a shared object under a cache
- * directory, and `dlopen`s the result.
+ * Native AOT backend: renders each segment of an `AotSpec` — the
+ * pipeline's `hdl::StageOp`s over the spec's burst and checkpoint
+ * boundaries — as straight-line C++ calling the primitives in
+ * sim/aot/runtime.hpp, compiles it with the host toolchain into a
+ * shared object under a cache directory, and `dlopen`s the result.
  *
  * The generated source is deterministic — a pure function of the
  * specialized pipeline (no timestamps, paths or pointer values) — so
  * it is snapshot-tested under tests/golden/ and its FNV-1a hash keys
  * the on-disk cache: recompiling the same program hits
- * `<cache>/ehdl_aot_<hash>.so` without invoking the compiler again.
+ * `<cache>/ehdl_aot_v<abi>_<hash>.so` without invoking the compiler
+ * again. The name carries `kAotAbiVersion`, so modules built against
+ * another ABI are never picked up.
  *
  * Loading can fail for many environmental reasons (no compiler on
  * PATH, no dlopen, read-only filesystem, missing headers); every
  * failure is reported as a reason string and the engine falls back to
- * the direct-threaded backend, which needs no toolchain. Environment
- * knobs:
+ * the portable backend, which needs no toolchain. Environment knobs:
  *
  *   EHDL_AOT_CXX             host compiler (default: the compiler that
  *                            built the simulator, then $CXX, then c++)
  *   EHDL_AOT_CACHE           cache directory (default: aot-cache)
- *   EHDL_AOT_DISABLE_NATIVE  force the direct-threaded fallback (set
- *                            in sanitizer CI, where mixing
- *                            uninstrumented dlopen'ed code into an
- *                            instrumented process is not worth it)
+ *   EHDL_AOT_DISABLE_NATIVE  force the portable fallback (set in
+ *                            sanitizer CI, where mixing uninstrumented
+ *                            dlopen'ed code into an instrumented
+ *                            process is not worth it)
  */
 
 #ifndef EHDL_SIM_AOT_NATIVE_HPP_
@@ -31,12 +34,13 @@
 #include <memory>
 #include <string>
 
+#include "sim/aot/runtime.hpp"
 #include "sim/aot/specialize.hpp"
 
 namespace ehdl::sim::aot {
 
 /**
- * Render the specialized executor as self-contained C++ (see file
+ * Render the native segment functions as self-contained C++ (see file
  * comment; deterministic for a given pipeline).
  */
 std::string generateNativeSource(const AotSpec &spec);

@@ -1,28 +1,21 @@
 /**
  * @file
- * Execution primitives shared by both AOT backends.
+ * Execution primitives of the native AOT backend.
  *
- * The AOT engine (docs/PERFORMANCE.md, "AOT-specialized engine")
- * replaces the interpreter's per-cycle walk over `hdl::StageOp` records
- * with a per-program specialized executor. Both backends bottom out in
- * the inline primitives defined here, which call straight into the same
- * `ebpf::ExecState` instruction semantics the interpreter uses:
+ * The AOT engine (docs/PERFORMANCE.md, "AOT-specialized engine") splits
+ * a flight's execution in two. The spec (sim/aot/specialize.hpp) decides
+ * *where* a flight executes: which stages run as one burst, where a
+ * flight can enter, which checkpoints are live and which reads need
+ * recording. What a stage *does* is decided either by the interpreter's
+ * own `hdl::StageOp` walk (the portable backend, sim/pipe_sim.cpp) or by
+ * generated native code (sim/aot/native.hpp).
  *
- *  - the direct-threaded backend builds, at load time, per-stage tables
- *    of `MicroOp` records whose handler pointers are selected per fused
- *    op shape (sim/aot/specialize.hpp);
- *
- *  - the native backend generates C++ that unrolls those tables into
- *    straight-line per-stage functions with every block id and pc
- *    constant-folded, compiles them with the host compiler and
- *    `dlopen`s the result (sim/aot/native.hpp). The generated source
- *    includes exactly this header, so a native stage and a
- *    direct-threaded stage execute byte-for-byte the same primitives.
- *
- * Because every primitive delegates to ExecState, the AOT engine cannot
- * drift semantically from the interpreter on instruction behaviour
- * (including exact trap reasons); the only thing it specializes away is
- * dispatch.
+ * Generated modules include exactly this header: each stage op becomes
+ * one call into the inline primitives below, with the instruction passed
+ * as a literal. Every primitive delegates to the same `ebpf::ExecState`
+ * instruction semantics the interpreter uses, so native code cannot
+ * drift from the interpreter on instruction behaviour (including exact
+ * trap reasons); the only thing it specializes away is dispatch.
  */
 
 #ifndef EHDL_SIM_AOT_RUNTIME_HPP_
@@ -53,8 +46,11 @@ namespace ehdl::sim::aot {
  * v4: block enable signals are a byte vector instead of vector<bool>,
  * so blockOn — executed before every generated instruction — is a
  * plain byte load rather than bit arithmetic through a proxy.
+ *
+ * v5: AotCtx lost its instruction-array pointer (generated code passes
+ * every instruction as a literal), shifting the fields behind it.
  */
-constexpr uint64_t kAotAbiVersion = 4;
+constexpr uint64_t kAotAbiVersion = 5;
 
 /**
  * The per-flight execution context a specialized stage runs against.
@@ -66,8 +62,6 @@ struct AotCtx
     ebpf::ExecState *st = nullptr;
     /** Basic-block enable signals (predication, paper section 3.5). */
     std::vector<uint8_t> *enabled = nullptr;
-    /** The post-unroll program's instruction array. */
-    const ebpf::Insn *insns = nullptr;
     bool *exited = nullptr;
     ebpf::XdpAction *action = nullptr;
     uint32_t *redirectIfindex = nullptr;
@@ -82,13 +76,28 @@ struct AotCtx
 // --- Primitives -------------------------------------------------------------
 // Each returns true when the packet latches its exit (remaining ops in
 // the stage are dead, exactly like the interpreter's executeOp).
+//
+// Generated modules pass each instruction as a braced Insn literal.
+// ExecState::execute/evalCond are header-inline (ebpf/exec_inline.hpp),
+// so with every field a compile-time constant the host compiler folds
+// the class/op/width dispatch, the operand selects and the memory-size
+// switches down to straight-line code per instruction — while still
+// running the interpreter's exact bodies.
+
+/** Execute one non-control-flow instruction (ALU/load/store/call). */
+inline bool
+opExecInsn(AotCtx &c, const ebpf::Insn &insn)
+{
+    c.st->execute(insn);
+    return false;
+}
 
 /** Conditional branch: drive the taken or fallthrough enable signal. */
 inline bool
-opBranch(AotCtx &c, uint32_t pc, uint32_t taken_block, uint32_t fall_block)
+opBranchInsn(AotCtx &c, const ebpf::Insn &insn, uint32_t taken_block,
+             uint32_t fall_block)
 {
-    const bool taken = c.st->evalCond(c.insns[pc]);
-    (*c.enabled)[taken ? taken_block : fall_block] = true;
+    (*c.enabled)[c.st->evalCond(insn) ? taken_block : fall_block] = true;
     return false;
 }
 
@@ -109,126 +118,6 @@ opExit(AotCtx &c)
     *c.redirectIfindex = c.st->redirectIfindex;
     *c.exited = true;
     return true;
-}
-
-/** Execute one non-control-flow instruction (ALU/load/store/call). */
-inline bool
-opExec(AotCtx &c, uint32_t pc)
-{
-    c.st->execute(c.insns[pc]);
-    return false;
-}
-
-// --- Literal-instruction primitives (native backend) ------------------------
-// Generated modules pass each instruction as a braced Insn literal instead
-// of an index into c.insns. ExecState::execute/evalCond are header-inline
-// (ebpf/exec_inline.hpp), so with every field a compile-time constant the
-// host compiler folds the class/op/width dispatch, the operand selects and
-// the memory-size switches down to straight-line code per instruction —
-// while still running the interpreter's exact bodies.
-
-/** Execute one instruction given as a literal. */
-inline bool
-opExecInsn(AotCtx &c, const ebpf::Insn &insn)
-{
-    c.st->execute(insn);
-    return false;
-}
-
-/** Conditional branch on a literal instruction. */
-inline bool
-opBranchInsn(AotCtx &c, const ebpf::Insn &insn, uint32_t taken_block,
-             uint32_t fall_block)
-{
-    (*c.enabled)[c.st->evalCond(insn) ? taken_block : fall_block] = true;
-    return false;
-}
-
-// --- Direct-threaded micro-ops ---------------------------------------------
-
-struct MicroOp;
-
-/** Fused stage-op handler: returns true when the packet exits. */
-using UopFn = bool (*)(AotCtx &, const MicroOp &);
-
-/**
- * One pre-decoded stage operation. The handler pointer is chosen at
- * specialization time for the op's shape (single insn, fused pair,
- * branch, ...), so the per-cycle path is one predication test plus one
- * indirect call — no OpKind switch, no pcs vector walk.
- */
-struct MicroOp
-{
-    UopFn fn = nullptr;
-    /** Basic block whose enable signal predicates the op. */
-    uint32_t block = 0;
-    /** Branch/Jump: taken block. Exec: first pc. */
-    uint32_t a = 0;
-    /** Branch: fallthrough block. */
-    uint32_t b = 0;
-    /** Exec runs: pointer into the spec's flattened pc pool. */
-    const uint32_t *pcs = nullptr;
-    uint32_t npcs = 0;
-};
-
-/** handler: single-instruction op (the common case). */
-inline bool
-uopExec1(AotCtx &c, const MicroOp &op)
-{
-    return opExec(c, op.a);
-}
-
-/** handler: fused instruction pair sharing one stage (section 3.2). */
-inline bool
-uopExec2(AotCtx &c, const MicroOp &op)
-{
-    opExec(c, op.pcs[0]);
-    return opExec(c, op.pcs[1]);
-}
-
-/** handler: general instruction run. */
-inline bool
-uopExecN(AotCtx &c, const MicroOp &op)
-{
-    for (uint32_t i = 0; i < op.npcs; ++i)
-        c.st->execute(c.insns[op.pcs[i]]);
-    return false;
-}
-
-/** handler: conditional branch. */
-inline bool
-uopBranch(AotCtx &c, const MicroOp &op)
-{
-    return opBranch(c, op.pcs[0], op.a, op.b);
-}
-
-/** handler: unconditional jump. */
-inline bool
-uopJump(AotCtx &c, const MicroOp &op)
-{
-    return opJump(c, op.a);
-}
-
-/** handler: exit latch. */
-inline bool
-uopExit(AotCtx &c, const MicroOp &op)
-{
-    (void)op;
-    return opExit(c);
-}
-
-/** Run one specialized stage's micro-op table. */
-inline bool
-runStageUops(AotCtx &c, const MicroOp *ops, uint32_t n)
-{
-    for (uint32_t i = 0; i < n; ++i) {
-        const MicroOp &op = ops[i];
-        if (!(*c.enabled)[op.block])
-            continue;
-        if (op.fn(c, op))
-            return true;
-    }
-    return false;
 }
 
 // --- Native module interface ------------------------------------------------

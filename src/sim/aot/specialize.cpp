@@ -1,6 +1,5 @@
 #include "sim/aot/specialize.hpp"
 
-#include "common/logging.hpp"
 #include "ebpf/helpers.hpp"
 
 namespace ehdl::sim::aot {
@@ -57,77 +56,8 @@ buildAotSpec(const Pipeline &pipe)
     spec.pipe = &pipe;
     spec.stages.resize(pipe.numStages());
 
-    // Size the pc pool up front: MicroOp::pcs must stay stable.
-    size_t pool_bytes = 0;
-    for (const hdl::Stage &stage : pipe.stages)
-        for (const StageOp &op : stage.ops)
-            pool_bytes += op.pcs.size();
-    spec.pcPool.reserve(pool_bytes);
-
-    for (size_t s = 0; s < pipe.numStages(); ++s) {
-        const hdl::Stage &stage = pipe.stages[s];
-        AotSpec::StageInfo &info = spec.stages[s];
-        info.first = static_cast<uint32_t>(spec.uops.size());
-        info.touchesMap = stageTouchesMap(stage);
-
-        for (const StageOp &op : stage.ops) {
-            MicroOp uop;
-            uop.block = static_cast<uint32_t>(op.blockId);
-            const uint32_t pc_first =
-                static_cast<uint32_t>(spec.pcPool.size());
-            for (size_t pc : op.pcs)
-                spec.pcPool.push_back(static_cast<uint32_t>(pc));
-            uop.npcs = static_cast<uint32_t>(op.pcs.size());
-            // Resolved to a pointer after the pool stops growing.
-            uop.a = pc_first;
-
-            switch (op.kind) {
-              case OpKind::Branch:
-                uop.fn = uopBranch;
-                uop.a = static_cast<uint32_t>(op.takenBlock);
-                uop.b = static_cast<uint32_t>(op.fallBlock);
-                break;
-              case OpKind::Jump:
-                uop.fn = uopJump;
-                uop.a = static_cast<uint32_t>(op.takenBlock);
-                break;
-              case OpKind::Exit:
-                uop.fn = uopExit;
-                break;
-              default:
-                // Fused handler per run length; single-instruction ops
-                // carry their pc inline (no pool indirection).
-                if (uop.npcs == 1) {
-                    uop.fn = uopExec1;
-                    uop.a = spec.pcPool[pc_first];
-                } else if (uop.npcs == 2) {
-                    uop.fn = uopExec2;
-                } else {
-                    uop.fn = uopExecN;
-                }
-                break;
-            }
-            if (uop.fn == uopBranch || uop.fn == uopExec2 ||
-                uop.fn == uopExecN) {
-                // Remember the pool slice; pointer fixed up below.
-                uop.npcs = static_cast<uint32_t>(op.pcs.size());
-                uop.pcs = reinterpret_cast<const uint32_t *>(
-                    static_cast<uintptr_t>(pc_first));
-            }
-            spec.uops.push_back(uop);
-        }
-        info.count =
-            static_cast<uint32_t>(spec.uops.size()) - info.first;
-    }
-
-    // The pool is final: turn recorded offsets into stable pointers.
-    for (MicroOp &uop : spec.uops) {
-        if (uop.fn == uopBranch || uop.fn == uopExec2 ||
-            uop.fn == uopExecN) {
-            const uintptr_t off = reinterpret_cast<uintptr_t>(uop.pcs);
-            uop.pcs = spec.pcPool.data() + off;
-        }
-    }
+    for (size_t s = 0; s < pipe.numStages(); ++s)
+        spec.stages[s].touchesMap = stageTouchesMap(pipe.stages[s]);
 
     // Run-ahead bursts: walk backwards so each stage inherits the
     // map-free run that starts right behind it.
@@ -135,12 +65,9 @@ buildAotSpec(const Pipeline &pipe)
     if (n > 0) {
         spec.stages[n - 1].burstEnd = static_cast<uint32_t>(n - 1);
         for (size_t s = n - 1; s-- > 0;) {
-            if (!spec.stages[s + 1].touchesMap) {
-                spec.stages[s].burstEnd = spec.stages[s + 1].burstEnd;
-                ++spec.burstableStages;
-            } else {
-                spec.stages[s].burstEnd = static_cast<uint32_t>(s);
-            }
+            spec.stages[s].burstEnd = spec.stages[s + 1].touchesMap
+                                          ? static_cast<uint32_t>(s)
+                                          : spec.stages[s + 1].burstEnd;
         }
     }
 

@@ -1,18 +1,17 @@
 /**
  * @file
  * AOT specializer: compiles an `hdl::Pipeline` into the per-program
- * executor the AOT simulation engine runs (sim/pipe_sim.hpp with
+ * cycle-core plan the AOT simulation engine runs (sim/pipe_sim.hpp with
  * `PipeSimConfig::engine == SimEngine::Aot`).
  *
- * Specialization happens once at load time and buys three things the
- * per-cycle interpreter pays for on every stage of every cycle:
+ * The spec decides *where* a flight executes; the stage ops themselves
+ * run either through the interpreter's own `hdl::StageOp` walk (the
+ * portable backend) or through generated native code (sim/aot/native.hpp),
+ * so the AOT engine has no op semantics of its own. Specialization happens
+ * once at load time and buys four things the per-cycle interpreter pays
+ * for on every stage of every cycle:
  *
- *  1. **Pre-decoded micro-ops** — every `hdl::StageOp` is flattened
- *     into a `MicroOp` with a fused handler chosen for its shape, so
- *     stage execution is a tight table walk instead of an OpKind
- *     switch over vectors of instruction indices.
- *
- *  2. **Run-ahead bursts** — stages that touch no map (`burstEnd`) are
+ *  1. **Run-ahead bursts** — stages that touch no map (`burstEnd`) are
  *     provably independent of pipeline timing: every one of their
  *     effects (registers, stack, packet bytes, enable signals, even
  *     elastic-buffer checkpoints) is a function of the flight's own
@@ -24,12 +23,12 @@
  *     WAR commit timing, flush statistics and store-to-load forwarding
  *     bit-identical to the interpreter.
  *
- *  3. **Flattened hazard bookkeeping** — reads are recorded only for
+ *  2. **Flattened hazard bookkeeping** — reads are recorded only for
  *     maps that appear in some flush-evaluation block (`recordReads`);
  *     reads of other maps can never match a hazard scan, so recording
  *     them is dead work the specializer drops.
  *
- *  4. **Entry-stage closure** — because bursts always run through
+ *  3. **Entry-stage closure** — because bursts always run through
  *     `burstEnd`, a flight can only *begin* executing at a statically
  *     known set of stages: stage 0, the stage after each burst end
  *     reachable from an entry, and the stage after each flush block's
@@ -37,7 +36,7 @@
  *     `entryStage` and skips every other slot without touching the
  *     flight record at all (`sim/pipe_sim.cpp`, stepOnce).
  *
- *  5. **Checkpoint elision** — an elastic-buffer checkpoint is consumed
+ *  4. **Checkpoint elision** — an elastic-buffer checkpoint is consumed
  *     only by a flush whose plan restarts at that buffer
  *     (`restoreFlight`). Buffers no flush block restarts from
  *     (`checkpointNeeded[i] == 0`) would checkpoint dead state every
@@ -56,19 +55,15 @@
 #include <vector>
 
 #include "hdl/pipeline.hpp"
-#include "sim/aot/runtime.hpp"
 
 namespace ehdl::sim::aot {
 
-/** The specialized executor for one compiled pipeline. */
+/** The specialized cycle-core plan for one compiled pipeline. */
 struct AotSpec
 {
     /** One specialized stage. */
     struct StageInfo
     {
-        /** Micro-op table slice [first, first + count) in `uops`. */
-        uint32_t first = 0;
-        uint32_t count = 0;
         /**
          * Deepest stage e such that every stage in (this, e] is
          * map-free; the engine executes through e in one burst. Equals
@@ -88,7 +83,6 @@ struct AotSpec
     };
 
     const hdl::Pipeline *pipe = nullptr;
-    std::vector<MicroOp> uops;
     std::vector<StageInfo> stages;
     /** Per map id: record reads for hazard scans (map has a flush block). */
     std::vector<uint8_t> recordReads;
@@ -105,15 +99,10 @@ struct AotSpec
      * actually be consumed. Dead buffers are skipped by the engine.
      */
     std::vector<uint8_t> checkpointNeeded;
-    /** Backing store for MicroOp::pcs slices. */
-    std::vector<uint32_t> pcPool;
-
-    /** Count of map-free stages covered by some burst (diagnostics). */
-    uint32_t burstableStages = 0;
 };
 
 /**
- * Build the specialized executor. The returned spec holds pointers into
+ * Build the specialized plan. The returned spec holds pointers into
  * @p pipe, which must outlive it.
  */
 AotSpec buildAotSpec(const hdl::Pipeline &pipe);

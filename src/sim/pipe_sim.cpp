@@ -80,13 +80,25 @@ parseEngineSpec(const std::string &spec, PipeSimConfig &config)
         config.engine = SimEngine::Interp;
     } else if (spec == "aot") {
         config.engine = SimEngine::Aot;
-        config.aotBackend = AotBackend::DirectThreaded;
+        config.aotBackend = AotBackend::Portable;
     } else if (spec == "aot-native") {
         config.engine = SimEngine::Aot;
         config.aotBackend = AotBackend::Native;
     } else {
         return false;
     }
+    return true;
+}
+
+bool
+parseSchedSpec(const std::string &spec, SchedMode &mode)
+{
+    if (spec == "dense")
+        mode = SchedMode::Dense;
+    else if (spec == "event")
+        mode = SchedMode::EventDriven;
+    else
+        return false;
     return true;
 }
 
@@ -188,11 +200,10 @@ struct PipeSim::Impl
         std::vector<Checkpoint> checkpoints;
 
         /**
-         * AOT engine: the execution context handed to specialized stage
+         * AOT engine: the execution context handed to native stage
          * code, cached per flight. Every pointer targets a member whose
          * address is stable for the flight's pooled lifetime; refreshed
-         * on acquire so a hot-swapped pipeline's instruction array is
-         * picked up.
+         * on acquire, when the flight may have just been allocated.
          */
         aot::AotCtx aotCtx;
     };
@@ -505,7 +516,6 @@ struct PipeSim::Impl
         if (aotActive) {
             f->aotCtx.st = f->state.get();
             f->aotCtx.enabled = &f->blockEnabled;
-            f->aotCtx.insns = pipe.prog.insns.data();
             f->aotCtx.exited = &f->exited;
             f->aotCtx.action = &f->action;
             f->aotCtx.redirectIfindex = &f->redirectIfindex;
@@ -913,19 +923,7 @@ struct PipeSim::Impl
         cur = &flight;
         if (!flight.exited && !stage.ops.empty()) {
             flight.state->setPort(static_cast<unsigned>(stage_idx));
-            try {
-                for (const StageOp &op : stage.ops) {
-                    if (!flight.blockEnabled[op.blockId])
-                        continue;
-                    if (executeOp(flight, op))
-                        break;  // exit latched
-                }
-            } catch (const VmTrap &trap) {
-                flight.trapped = true;
-                flight.exited = true;
-                flight.action = XdpAction::Aborted;
-                flight.trapReason = trap.reason;
-            }
+            runStageOps(flight, stage);
         }
         const int eb = elasticIndex[stage_idx];
         if (eb >= 0)
@@ -959,7 +957,6 @@ struct PipeSim::Impl
             commitPendingWritesFor(flight, stage_idx);
         cur = &flight;
         const size_t burst_end = aotSpec.stages[stage_idx].burstEnd;
-        aot::AotCtx &c = flight.aotCtx;
         flight.state->setPort(static_cast<unsigned>(stage_idx));
         if (nativeStages != nullptr) {
             // Native modules fuse each map-and-checkpoint-free run into
@@ -970,12 +967,9 @@ struct PipeSim::Impl
                 if (!flight.exited) {
                     if (const aot::NativeStageFn fn = nativeStages[k]) {
                         try {
-                            fn(c);
+                            fn(flight.aotCtx);
                         } catch (const VmTrap &trap) {
-                            flight.trapped = true;
-                            flight.exited = true;
-                            flight.action = XdpAction::Aborted;
-                            flight.trapReason = trap.reason;
+                            latchTrap(flight, trap);
                         }
                     }
                 }
@@ -986,18 +980,8 @@ struct PipeSim::Impl
             }
         } else {
             for (size_t k = stage_idx; k <= burst_end; ++k) {
-                const aot::AotSpec::StageInfo &si = aotSpec.stages[k];
-                if (!flight.exited && si.count != 0) {
-                    try {
-                        aot::runStageUops(c, aotSpec.uops.data() + si.first,
-                                          si.count);
-                    } catch (const VmTrap &trap) {
-                        flight.trapped = true;
-                        flight.exited = true;
-                        flight.action = XdpAction::Aborted;
-                        flight.trapReason = trap.reason;
-                    }
-                }
+                if (!flight.exited)
+                    runStageOps(flight, pipe.stages[k]);
                 const int eb = elasticIndex[k];
                 if (eb >= 0 && aotSpec.checkpointNeeded[eb])
                     checkpointAt(flight, k, eb);
@@ -1005,6 +989,37 @@ struct PipeSim::Impl
         }
         flight.lastExecuted = static_cast<int64_t>(burst_end);
         cur = nullptr;
+    }
+
+    /**
+     * The one StageOp walk: execute @p stage's ops under predication
+     * until the packet exits. Both the interpreter and the portable AOT
+     * backend run stages through here, so they share op semantics by
+     * construction; a trap latches the abort (latchTrap).
+     */
+    void
+    runStageOps(Flight &flight, const hdl::Stage &stage)
+    {
+        try {
+            for (const StageOp &op : stage.ops) {
+                if (!flight.blockEnabled[op.blockId])
+                    continue;
+                if (executeOp(flight, op))
+                    break;  // exit latched
+            }
+        } catch (const VmTrap &trap) {
+            latchTrap(flight, trap);
+        }
+    }
+
+    /** A trapping instruction aborts the packet (every engine). */
+    static void
+    latchTrap(Flight &flight, const VmTrap &trap)
+    {
+        flight.trapped = true;
+        flight.exited = true;
+        flight.action = XdpAction::Aborted;
+        flight.trapReason = trap.reason;
     }
 
     /** Execute one op; returns true when the packet exits. */

@@ -28,27 +28,31 @@
 namespace ehdl::sim {
 
 /**
- * Execution engine. Both engines share the cycle loop and the hazard
- * machinery, so timing, statistics and observable behaviour are
- * bit-identical by construction; they differ only in how a stage's
- * operations are executed (docs/PERFORMANCE.md, "AOT-specialized
- * engine").
+ * Execution engine. Both engines share the cycle loop, the hazard
+ * machinery and the StageOp walk, so timing, statistics and observable
+ * behaviour are bit-identical by construction. The AOT engine
+ * specializes *where* a flight executes (bursts, entry stages,
+ * checkpoint elision) and can run stages as native code
+ * (docs/PERFORMANCE.md, "AOT-specialized engine").
  */
 enum class SimEngine : uint8_t {
     /** Per-cycle walk over the pipeline IR (the reference engine). */
     Interp,
-    /** Per-program specialized executor built ahead of time. */
+    /** Per-program specialized cycle core built ahead of time. */
     Aot,
 };
 
 /** Backend of the AOT engine (ignored under SimEngine::Interp). */
 enum class AotBackend : uint8_t {
-    /** Pre-decoded micro-op tables; needs no toolchain. */
-    DirectThreaded,
+    /**
+     * The specialized cycle core running the interpreter's own StageOp
+     * walk; needs no toolchain.
+     */
+    Portable,
     /**
      * Generated C++ compiled by the host toolchain and dlopen'ed;
-     * falls back to DirectThreaded when unavailable (the fallback
-     * reason is reported through EngineInfo).
+     * falls back to Portable when unavailable (the fallback reason is
+     * reported through EngineInfo).
      */
     Native,
 };
@@ -84,7 +88,7 @@ struct PipeSimConfig
     /** Stage-execution engine. */
     SimEngine engine = SimEngine::Interp;
     /** Requested AOT backend (engine == SimEngine::Aot only). */
-    AotBackend aotBackend = AotBackend::DirectThreaded;
+    AotBackend aotBackend = AotBackend::Portable;
     /** Native-module cache dir ("" = $EHDL_AOT_CACHE, else aot-cache). */
     std::string aotCacheDir;
     /** Cycle scheduling (Dense is the reference; see SchedMode). */
@@ -122,29 +126,35 @@ struct EngineInfo
 {
     SimEngine engine = SimEngine::Interp;
     /** Active backend when engine == SimEngine::Aot. */
-    AotBackend backend = AotBackend::DirectThreaded;
+    AotBackend backend = AotBackend::Portable;
     /** A native module is loaded and executing stages. */
     bool nativeLoaded = false;
-    /** Why a requested native backend fell back to direct-threaded. */
+    /** Why a requested native backend fell back to portable. */
     std::string fallbackReason;
 
-    /** "interp", "aot (direct-threaded)" or "aot (native)". */
+    /** "interp", "aot (portable)" or "aot (native)". */
     std::string
     describe() const
     {
         if (engine == SimEngine::Interp)
             return "interp";
         return backend == AotBackend::Native ? "aot (native)"
-                                             : "aot (direct-threaded)";
+                                             : "aot (portable)";
     }
 };
 
 /**
  * Parse a tool-facing --engine spec into @p config: "interp", "aot"
- * (direct-threaded) or "aot-native" (host-compiled, falls back to
- * direct-threaded). Returns false on an unknown spec.
+ * (portable) or "aot-native" (host-compiled, falls back to portable).
+ * Returns false on an unknown spec.
  */
 bool parseEngineSpec(const std::string &spec, PipeSimConfig &config);
+
+/**
+ * Parse a tool-facing --sched spec into @p mode: "dense" or "event".
+ * Returns false (leaving @p mode untouched) on an unknown spec.
+ */
+bool parseSchedSpec(const std::string &spec, SchedMode &mode);
 
 /**
  * Observer of the retirement stream. The NIC-shell/host side (src/host)

@@ -1,15 +1,18 @@
 /**
  * @file
  * Unit tests for src/common: bit helpers, deterministic RNG, the Zipf
- * sampler and the table printer.
+ * sampler, the table printer and the command-line number parser.
  */
 
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
+#include <string>
 
 #include "common/bitops.hpp"
 #include "common/logging.hpp"
+#include "common/parse_num.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
 #include "common/zipf.hpp"
@@ -157,6 +160,55 @@ TEST(Logging, FatalAndPanicThrow)
         fatal("value=", 7);
     } catch (const FatalError &e) {
         EXPECT_STREQ(e.what(), "value=7");
+    }
+}
+
+TEST(ParseNum, AcceptsDecimalInRange)
+{
+    EXPECT_EQ(parseDecimal("0"), 0u);
+    EXPECT_EQ(parseDecimal("42"), 42u);
+    EXPECT_EQ(parseDecimal("18446744073709551615"), UINT64_MAX);
+    EXPECT_EQ(parseDecimal("255", 255), 255u);
+    EXPECT_EQ(parseNum<unsigned>("--n", "4294967295"), 4294967295u);
+    EXPECT_EQ(parseNum<int>("--n", "2147483647"), 2147483647);
+}
+
+TEST(ParseNum, RejectsSignsJunkEmptyAndOverflow)
+{
+    // std::stoull("-1") wraps to UINT64_MAX; the shared parser must not.
+    for (const char *bad : {"-1", "-0", "+1", "12x", "x12", "", " 1", "1 ",
+                            "0x10", "1.5"})
+        EXPECT_EQ(parseDecimal(bad), std::nullopt) << "'" << bad << "'";
+    EXPECT_EQ(parseDecimal("18446744073709551616"), std::nullopt);
+    EXPECT_EQ(parseDecimal("256", 255), std::nullopt);
+
+    EXPECT_THROW(parseNum<unsigned>("--replicas", "-1"), FatalError);
+    EXPECT_THROW(parseNum<unsigned>("--replicas", "12x"), FatalError);
+    EXPECT_THROW(parseNum<unsigned>("--replicas", ""), FatalError);
+    EXPECT_THROW(parseNum<unsigned>("--replicas", "4294967296"), FatalError);
+    EXPECT_THROW(parseNum<int>("--packets", "2147483648"), FatalError);
+    EXPECT_THROW(parseNum<uint64_t>("--seed", "18446744073709551616"),
+                 FatalError);
+    EXPECT_THROW(parseNum<unsigned>("--replicas", nullptr), FatalError);
+}
+
+TEST(ParseNum, ErrorNamesTheFlagAndValue)
+{
+    try {
+        parseNum<unsigned>("--replicas", "-1");
+        FAIL() << "expected FatalError";
+    } catch (const FatalError &e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find("--replicas"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("'-1'"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("4294967295"), std::string::npos) << msg;
+    }
+    try {
+        parseNum<unsigned>("--replicas", nullptr);
+        FAIL() << "expected FatalError";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("requires a value"),
+                  std::string::npos);
     }
 }
 

@@ -37,6 +37,7 @@
 #include "apps/apps.hpp"
 #include "common/json.hpp"
 #include "common/logging.hpp"
+#include "common/parse_num.hpp"
 #include "ctl/controller.hpp"
 #include "ebpf/vm.hpp"
 #include "hdl/compiler.hpp"
@@ -122,22 +123,6 @@ usage(std::ostream &os)
           "  --verify          cross-check against the reference VM\n"
           "                    replay (single or sharded backends)\n"
           "  --quiet           suppress the per-transaction table\n";
-}
-
-uint64_t
-parseNum(const char *flag, const char *value)
-{
-    if (!value)
-        fatal(flag, " requires a value");
-    try {
-        size_t pos = 0;
-        const uint64_t v = std::stoull(value, &pos);
-        if (pos != std::strlen(value))
-            throw std::invalid_argument(value);
-        return v;
-    } catch (const std::exception &) {
-        fatal(flag, ": expected a number, got '", value, "'");
-    }
 }
 
 std::string
@@ -238,7 +223,7 @@ struct Options
     uint64_t flows = 64;
     double rateGbps = 100.0;
     sim::SimEngine engine = sim::SimEngine::Interp;
-    sim::AotBackend aotBackend = sim::AotBackend::DirectThreaded;
+    sim::AotBackend aotBackend = sim::AotBackend::Portable;
     sim::SchedMode schedMode = sim::SchedMode::Dense;
     bool paranoid = false;
     ctl::CtlChannelConfig channel;
@@ -333,8 +318,7 @@ run(int argc, char **argv)
                 fatal("--swap requires LABEL=APP");
             opt.swaps.emplace_back(std::string(v, eq), std::string(eq + 1));
         } else if (arg == "--replicas") {
-            opt.replicas =
-                static_cast<unsigned>(parseNum("--replicas", value()));
+            opt.replicas = parseNum<unsigned>("--replicas", value());
         } else if (arg == "--map-mode") {
             const char *v = value();
             if (v && std::string(v) == "sharded")
@@ -346,17 +330,18 @@ run(int argc, char **argv)
         } else if (arg == "--threaded") {
             opt.threaded = true;
         } else if (arg == "--packets") {
-            opt.packets = parseNum("--packets", value());
+            opt.packets = parseNum<uint64_t>("--packets", value());
         } else if (arg == "--flows") {
-            opt.flows = parseNum("--flows", value());
+            opt.flows = parseNum<uint64_t>("--flows", value());
         } else if (arg == "--rate") {
             opt.rateGbps =
-                static_cast<double>(parseNum("--rate", value()));
+                static_cast<double>(parseNum<uint64_t>("--rate", value()));
         } else if (arg == "--rtt") {
-            opt.channel.roundTripCycles = parseNum("--rtt", value());
+            opt.channel.roundTripCycles =
+                parseNum<uint64_t>("--rtt", value());
         } else if (arg == "--inflight") {
-            opt.channel.maxInFlight = static_cast<unsigned>(
-                parseNum("--inflight", value()));
+            opt.channel.maxInFlight =
+                parseNum<unsigned>("--inflight", value());
         } else if (arg == "--engine") {
             const char *v = value();
             sim::PipeSimConfig ec;
@@ -366,12 +351,7 @@ run(int argc, char **argv)
             opt.aotBackend = ec.aotBackend;
         } else if (arg == "--sched") {
             const char *v = value();
-            const std::string mode = v ? v : "";
-            if (mode == "dense")
-                opt.schedMode = sim::SchedMode::Dense;
-            else if (mode == "event")
-                opt.schedMode = sim::SchedMode::EventDriven;
-            else
+            if (!v || !sim::parseSchedSpec(v, opt.schedMode))
                 fatal("--sched expects dense or event");
         } else if (arg == "--paranoid") {
             opt.paranoid = true;
@@ -380,7 +360,7 @@ run(int argc, char **argv)
         } else if (arg == "--ring-depth") {
             opt.hostRings = true;
             opt.hostConfig.ringDepth =
-                static_cast<unsigned>(parseNum("--ring-depth", value()));
+                parseNum<unsigned>("--ring-depth", value());
         } else if (arg == "--host-rate") {
             const char *v = value();
             if (!v)
@@ -394,18 +374,18 @@ run(int argc, char **argv)
             opt.hostRings = true;
             const std::string spec = v;
             const size_t comma = spec.find(',');
-            opt.hostConfig.coalesceCount = static_cast<unsigned>(
-                std::stoul(spec.substr(0, comma)));
+            opt.hostConfig.coalesceCount = parseNum<unsigned>(
+                "--coalesce", spec.substr(0, comma).c_str());
             if (comma != std::string::npos)
-                opt.hostConfig.coalesceTimeoutCycles =
-                    std::stoull(spec.substr(comma + 1));
+                opt.hostConfig.coalesceTimeoutCycles = parseNum<uint64_t>(
+                    "--coalesce", spec.substr(comma + 1).c_str());
         } else if (arg == "--host-frac") {
             const char *v = value();
             if (!v)
                 fatal("--host-frac requires a value");
             opt.hostFrac = std::stod(v);
         } else if (arg == "--poll-stats") {
-            opt.pollStats = parseNum("--poll-stats", value());
+            opt.pollStats = parseNum<uint64_t>("--poll-stats", value());
         } else if (arg == "--stats-out") {
             const char *v = value();
             if (!v)

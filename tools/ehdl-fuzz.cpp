@@ -11,7 +11,6 @@
  */
 
 #include <cstdint>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -19,6 +18,7 @@
 
 #include "common/json.hpp"
 #include "common/logging.hpp"
+#include "common/parse_num.hpp"
 #include "fuzz/case.hpp"
 #include "fuzz/diff.hpp"
 #include "fuzz/fuzzer.hpp"
@@ -72,22 +72,6 @@ usage(std::ostream &os)
           "  --quiet            suppress progress output\n";
 }
 
-uint64_t
-parseNum(const char *flag, const char *value)
-{
-    if (!value)
-        fatal(flag, " requires a value");
-    try {
-        size_t pos = 0;
-        const uint64_t v = std::stoull(value, &pos);
-        if (pos != std::strlen(value))
-            throw std::invalid_argument(value);
-        return v;
-    } catch (const std::exception &) {
-        fatal(flag, ": expected a number, got '", value, "'");
-    }
-}
-
 int
 replay(const std::vector<std::string> &paths, const fuzz::RunOptions &run)
 {
@@ -132,18 +116,15 @@ run(int argc, char **argv)
             if (replay_paths.empty())
                 fatal("--replay requires at least one case file");
         } else if (arg == "--iters") {
-            opts.iterations = parseNum("--iters", value());
+            opts.iterations = parseNum<uint64_t>("--iters", value());
         } else if (arg == "--seed") {
-            opts.seed = parseNum("--seed", value());
+            opts.seed = parseNum<uint64_t>("--seed", value());
         } else if (arg == "--packets-min") {
-            opts.minPackets =
-                static_cast<unsigned>(parseNum("--packets-min", value()));
+            opts.minPackets = parseNum<unsigned>("--packets-min", value());
         } else if (arg == "--packets-max") {
-            opts.maxPackets =
-                static_cast<unsigned>(parseNum("--packets-max", value()));
+            opts.maxPackets = parseNum<unsigned>("--packets-max", value());
         } else if (arg == "--flows") {
-            opts.maxFlows =
-                static_cast<unsigned>(parseNum("--flows", value()));
+            opts.maxFlows = parseNum<unsigned>("--flows", value());
         } else if (arg == "--inject-war-bug") {
             opts.injectWarBug = true;
         } else if (arg == "--inject-flush-bug") {
@@ -151,12 +132,10 @@ run(int argc, char **argv)
         } else if (arg == "--ctl") {
             opts.ctl = true;
         } else if (arg == "--ctl-txns") {
-            opts.ctlMaxTxns =
-                static_cast<unsigned>(parseNum("--ctl-txns", value()));
+            opts.ctlMaxTxns = parseNum<unsigned>("--ctl-txns", value());
         } else if (arg == "--ctl-replicas") {
-            opts.run.ctlReplicas = static_cast<unsigned>(
-                parseNum("--ctl-replicas", value()));
-            opts.shrinkOpts.run.ctlReplicas = opts.run.ctlReplicas;
+            opts.run.ctlReplicas =
+                parseNum<unsigned>("--ctl-replicas", value());
         } else if (arg == "--engine") {
             const char *spec = value();
             sim::PipeSimConfig ec;
@@ -164,39 +143,20 @@ run(int argc, char **argv)
                 fatal("--engine expects interp, aot or aot-native");
             opts.run.engine = ec.engine;
             opts.run.aotBackend = ec.aotBackend;
-            // Shrinking must reproduce the divergence under the same
-            // engine that found it.
-            opts.shrinkOpts.run.engine = ec.engine;
-            opts.shrinkOpts.run.aotBackend = ec.aotBackend;
         } else if (arg == "--sched") {
             const char *spec = value();
-            if (!spec)
+            if (!spec || !sim::parseSchedSpec(spec, opts.run.schedMode))
                 fatal("--sched expects dense or event");
-            const std::string mode = spec;
-            sim::SchedMode sm;
-            if (mode == "dense")
-                sm = sim::SchedMode::Dense;
-            else if (mode == "event")
-                sm = sim::SchedMode::EventDriven;
-            else
-                fatal("--sched expects dense or event, got '", mode, "'");
-            opts.run.schedMode = sm;
-            opts.shrinkOpts.run.schedMode = sm;
         } else if (arg == "--host") {
             opts.run.hostModel = true;
-            opts.shrinkOpts.run.hostModel = true;
         } else if (arg == "--host-ring") {
-            const unsigned depth =
-                static_cast<unsigned>(parseNum("--host-ring", value()));
+            const unsigned depth = parseNum<unsigned>("--host-ring", value());
             if (depth == 0)
                 fatal("--host-ring must be at least 1");
             opts.run.hostModel = true;
             opts.run.hostRingDepth = depth;
-            opts.shrinkOpts.run.hostModel = true;
-            opts.shrinkOpts.run.hostRingDepth = depth;
         } else if (arg == "--paranoid") {
             opts.run.paranoidChecks = true;
-            opts.shrinkOpts.run.paranoidChecks = true;
         } else if (arg == "--stats-out") {
             const char *path = value();
             if (!path)

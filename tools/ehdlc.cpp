@@ -35,6 +35,7 @@
 
 #include "apps/apps.hpp"
 #include "common/logging.hpp"
+#include "common/parse_num.hpp"
 #include "ebpf/asm.hpp"
 #include "ebpf/codec.hpp"
 #include "ebpf/disasm.hpp"
@@ -177,8 +178,7 @@ cmdCompile(int argc, char **argv)
         else if (arg == "--testbench")
             testbench = true;
         else if (arg == "--frame" && i + 1 < argc)
-            options.frameBytes =
-                static_cast<unsigned>(std::stoul(argv[++i]));
+            options.frameBytes = parseNum<unsigned>("--frame", argv[++i]);
         else if (arg == "--no-ilp")
             options.enableIlp = false;
         else if (arg == "--no-fusion")
@@ -369,9 +369,10 @@ parseCoalesceSpec(const std::string &spec, host::HostDmaConfig &config)
 {
     const size_t comma = spec.find(',');
     config.coalesceCount =
-        static_cast<unsigned>(std::stoul(spec.substr(0, comma)));
+        parseNum<unsigned>("--coalesce", spec.substr(0, comma).c_str());
     if (comma != std::string::npos)
-        config.coalesceTimeoutCycles = std::stoull(spec.substr(comma + 1));
+        config.coalesceTimeoutCycles = parseNum<uint64_t>(
+            "--coalesce", spec.substr(comma + 1).c_str());
 }
 
 int
@@ -393,13 +394,13 @@ cmdSim(int argc, char **argv)
     for (int i = 0; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--packets" && i + 1 < argc)
-            packets = std::stoi(argv[++i]);
+            packets = parseNum<int>("--packets", argv[++i]);
         else if (arg == "--host-rings")
             host_rings = true;
         else if (arg == "--ring-depth" && i + 1 < argc) {
             host_rings = true;
             host_config.ringDepth =
-                static_cast<unsigned>(std::stoul(argv[++i]));
+                parseNum<unsigned>("--ring-depth", argv[++i]);
         } else if (arg == "--host-rate" && i + 1 < argc) {
             host_rings = true;
             host_config.hostRateMpps = std::stod(argv[++i]);
@@ -423,14 +424,13 @@ cmdSim(int argc, char **argv)
         else if (arg == "--stats-out" && i + 1 < argc)
             stats_out = argv[++i];
         else if (arg == "--flows" && i + 1 < argc)
-            traffic.numFlows = std::stoull(argv[++i]);
+            traffic.numFlows = parseNum<uint64_t>("--flows", argv[++i]);
         else if (arg == "--zipf" && i + 1 < argc)
             traffic.zipfS = std::stod(argv[++i]);
         else if (arg == "--len" && i + 1 < argc)
-            traffic.packetLen =
-                static_cast<uint32_t>(std::stoul(argv[++i]));
+            traffic.packetLen = parseNum<uint32_t>("--len", argv[++i]);
         else if (arg == "--replicas" && i + 1 < argc)
-            replicas = static_cast<unsigned>(std::stoul(argv[++i]));
+            replicas = parseNum<unsigned>("--replicas", argv[++i]);
         else if (arg == "--threaded")
             threaded = true;
         else if (!arg.empty() && arg[0] != '-')
@@ -440,12 +440,10 @@ cmdSim(int argc, char **argv)
     }
     if (input.empty())
         fatal("sim: missing input file");
-    sim::SchedMode sched_mode;
-    if (sched_spec == "dense")
-        sched_mode = sim::SchedMode::Dense;
-    else if (sched_spec == "event")
-        sched_mode = sim::SchedMode::EventDriven;
-    else
+    if (replicas == 0)
+        fatal("--replicas must be at least 1");
+    sim::SchedMode sched_mode = sim::SchedMode::Dense;
+    if (!sim::parseSchedSpec(sched_spec, sched_mode))
         fatal("unknown sched mode '", sched_spec, "' (dense, event)");
 
     const ebpf::Program prog = loadProgram(input);
