@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <ostream>
 
 #include "apps/apps.hpp"
 #include "common/logging.hpp"
@@ -98,6 +99,14 @@ struct DiffCase
     uint64_t flows;
     double reverse;
 };
+
+// The ctest name of a custom-named case carries the printed parameter;
+// print the name, not the raw bytes (pointers make those differ per run).
+void
+PrintTo(const DiffCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
 
 class AppDifferentialTest : public ::testing::TestWithParam<DiffCase>
 {

@@ -8,10 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "common/bitops.hpp"
 #include "ebpf/asm.hpp"
 #include "ebpf/builder.hpp"
 #include "ebpf/helpers.hpp"
+#include "ebpf/isa.hpp"
 #include "ebpf/vm.hpp"
 #include "net/headers.hpp"
 
@@ -77,6 +80,16 @@ struct AluCase
     AluOp op;
     uint64_t a, b, expect;
 };
+
+// Names the case by its contents: gtest's default printer dumps the raw
+// object bytes, padding included, so the discovered ctest names would
+// change from build to build.
+void
+PrintTo(const AluCase &c, std::ostream *os)
+{
+    *os << aluOpName(c.op) << " 0x" << std::hex << c.a << " 0x" << c.b
+        << std::dec;
+}
 
 class Alu64Test : public ::testing::TestWithParam<AluCase>
 {
