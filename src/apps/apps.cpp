@@ -1,6 +1,9 @@
 #include "apps/apps.hpp"
 
+#include <utility>
+
 #include "common/bitops.hpp"
+#include "common/logging.hpp"
 #include "ebpf/builder.hpp"
 #include "ebpf/helpers.hpp"
 
@@ -1212,6 +1215,31 @@ paperApps()
     apps.push_back(makeDnat());
     apps.push_back(makeSuricataFilter());
     return apps;
+}
+
+AppSpec
+appByName(const std::string &ref)
+{
+    const std::string name = ref.rfind("app:", 0) == 0 ? ref.substr(4) : ref;
+    static const std::pair<const char *, AppSpec (*)()> kApps[] = {
+        {"toy", makeToyCounter},
+        {"firewall", makeSimpleFirewall},
+        {"router", makeRouterIpv4},
+        {"router_ipv4", makeRouterIpv4},
+        {"tunnel", makeTxIpTunnel},
+        {"dnat", makeDnat},
+        {"suricata", makeSuricataFilter},
+        {"leaky_bucket", makeLeakyBucket},
+        {"lb", makeL4LoadBalancer},
+        {"monitor", makeMonitorSampler},
+    };
+    std::string known;
+    for (const auto &[key, make] : kApps) {
+        if (name == key)
+            return make();
+        known += std::string(known.empty() ? "" : ", ") + key;
+    }
+    fatal("unknown built-in app '", ref, "' (known: ", known, ")");
 }
 
 }  // namespace ehdl::apps

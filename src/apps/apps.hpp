@@ -88,6 +88,14 @@ AppSpec makeIpipDecap();
 /** The five table-1 applications, in the paper's order. */
 std::vector<AppSpec> paperApps();
 
+/**
+ * The built-in application named @p ref (toy, firewall, router or
+ * router_ipv4, tunnel, dnat, suricata, leaky_bucket, lb, monitor), with
+ * or without the `app:` prefix the tools accept. fatal() listing the
+ * known names otherwise.
+ */
+AppSpec appByName(const std::string &ref);
+
 /** Seed the Suricata bypass table with the given flows. */
 void seedSuricataBypass(ebpf::MapSet &maps,
                         const std::vector<net::FlowKey> &flows);

@@ -1,9 +1,11 @@
 /**
  * @file
- * Checked parsing of the integer values given to command-line flags,
- * shared by every tool. std::stoul/stoull are not used because they
- * accept a leading '-' and wrap it ("-1" parses as UINT64_MAX), skip
- * leading whitespace, and report errors without naming the flag.
+ * Checked parsing of the numeric values given to command-line flags and
+ * to the text formats (.ctl schedules, .ehdlcase files), shared by every
+ * tool. std::stoul/stoull/stod are not used because they accept a
+ * leading '-' (stoull wraps it: "-1" parses as UINT64_MAX), skip leading
+ * whitespace, ignore trailing junk ("0.5x" parses as 0.5), and report
+ * errors without naming the flag.
  */
 
 #ifndef EHDL_COMMON_PARSE_NUM_HPP_
@@ -47,6 +49,19 @@ parseNum(const char *flag, const char *value)
               value, "'");
     return static_cast<T>(*v);
 }
+
+/**
+ * Parse @p text as a non-negative finite real ("2", "0.25", "1e3").
+ * Returns nullopt on an empty string, any sign or whitespace, trailing
+ * characters, or an infinite or NaN value.
+ */
+std::optional<double> parseNonNegativeReal(std::string_view text);
+
+/**
+ * Parse the value of flag @p flag as a non-negative finite real. fatal()
+ * naming the flag when the value is missing or malformed.
+ */
+double parseReal(const char *flag, const char *value);
 
 }  // namespace ehdl
 

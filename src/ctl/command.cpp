@@ -4,45 +4,22 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/hex.hpp"
 #include "common/logging.hpp"
+#include "common/parse_num.hpp"
 
 namespace ehdl::ctl {
 
 namespace {
 
-std::string
-toHex(const std::vector<uint8_t> &bytes)
-{
-    static const char digits[] = "0123456789abcdef";
-    std::string out;
-    out.reserve(bytes.size() * 2);
-    for (uint8_t b : bytes) {
-        out.push_back(digits[b >> 4]);
-        out.push_back(digits[b & 0xf]);
-    }
-    return out;
-}
-
 std::vector<uint8_t>
-fromHex(const std::string &hex, size_t line)
+parseHex(const std::string &hex, size_t line)
 {
-    const auto nibble = [line](char c) -> uint8_t {
-        if (c >= '0' && c <= '9')
-            return static_cast<uint8_t>(c - '0');
-        if (c >= 'a' && c <= 'f')
-            return static_cast<uint8_t>(c - 'a' + 10);
-        if (c >= 'A' && c <= 'F')
-            return static_cast<uint8_t>(c - 'A' + 10);
-        fatal("ctl schedule line ", line, ": bad hex digit '", c, "'");
-    };
-    if (hex.size() % 2 != 0)
-        fatal("ctl schedule line ", line, ": odd-length hex string");
-    std::vector<uint8_t> out;
-    out.reserve(hex.size() / 2);
-    for (size_t i = 0; i < hex.size(); i += 2)
-        out.push_back(static_cast<uint8_t>((nibble(hex[i]) << 4) |
-                                           nibble(hex[i + 1])));
-    return out;
+    std::optional<std::vector<uint8_t>> bytes = fromHex(hex);
+    if (!bytes)
+        fatal("ctl schedule line ", line,
+              ": expected an even-length hex string, got '", hex, "'");
+    return std::move(*bytes);
 }
 
 std::string
@@ -73,16 +50,11 @@ parseFlags(const std::string &word, size_t line)
 uint64_t
 parseU64(const std::string &word, size_t line)
 {
-    try {
-        size_t pos = 0;
-        const uint64_t v = std::stoull(word, &pos);
-        if (pos != word.size())
-            throw std::invalid_argument(word);
-        return v;
-    } catch (const std::exception &) {
+    const std::optional<uint64_t> v = parseDecimal(word);
+    if (!v)
         fatal("ctl schedule line ", line, ": expected integer, got '", word,
               "'");
-    }
+    return *v;
 }
 
 /** Render one map primitive as its schedule-line words. */
@@ -132,7 +104,7 @@ parseMapOp(const std::string &verb, std::istringstream &ls, size_t line)
             ls.seekg(mark);
             flags_word.clear();
         }
-        op.value = fromHex(value_hex, line);
+        op.value = parseHex(value_hex, line);
         op.flags = parseFlags(flags_word, line);
     } else if (verb == "delete") {
         op.kind = CtlOpKind::MapDelete;
@@ -149,7 +121,7 @@ parseMapOp(const std::string &verb, std::istringstream &ls, size_t line)
     } else {
         fatal("ctl schedule line ", line, ": unknown map op '", verb, "'");
     }
-    op.key = fromHex(key_hex, line);
+    op.key = parseHex(key_hex, line);
     return op;
 }
 

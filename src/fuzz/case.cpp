@@ -3,46 +3,23 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/hex.hpp"
 #include "common/logging.hpp"
+#include "common/parse_num.hpp"
 #include "ebpf/codec.hpp"
 
 namespace ehdl::fuzz {
 
 namespace {
 
-std::string
-toHex(const std::vector<uint8_t> &bytes)
-{
-    static const char digits[] = "0123456789abcdef";
-    std::string out;
-    out.reserve(bytes.size() * 2);
-    for (uint8_t b : bytes) {
-        out.push_back(digits[b >> 4]);
-        out.push_back(digits[b & 0xf]);
-    }
-    return out;
-}
-
 std::vector<uint8_t>
-fromHex(const std::string &hex, size_t line)
+parseHex(const std::string &hex, size_t line)
 {
-    const auto nibble = [line](char c) -> uint8_t {
-        if (c >= '0' && c <= '9')
-            return static_cast<uint8_t>(c - '0');
-        if (c >= 'a' && c <= 'f')
-            return static_cast<uint8_t>(c - 'a' + 10);
-        if (c >= 'A' && c <= 'F')
-            return static_cast<uint8_t>(c - 'A' + 10);
-        fatal("ehdlcase line ", line, ": bad hex digit '", c, "'");
-    };
-    if (hex.size() % 2 != 0)
-        fatal("ehdlcase line ", line, ": odd-length hex string");
-    std::vector<uint8_t> out;
-    out.reserve(hex.size() / 2);
-    for (size_t i = 0; i < hex.size(); i += 2)
-        out.push_back(static_cast<uint8_t>((nibble(hex[i]) << 4) |
-                                           nibble(hex[i + 1])));
-    return out;
+    std::optional<std::vector<uint8_t>> bytes = fromHex(hex);
+    if (!bytes)
+        fatal("ehdlcase line ", line,
+              ": expected an even-length hex string, got '", hex, "'");
+    return std::move(*bytes);
 }
 
 ebpf::MapKind
@@ -60,17 +37,13 @@ parseMapKind(const std::string &word, size_t line)
 }
 
 uint64_t
-parseU64(const std::string &word, size_t line)
+parseU64(const std::string &word, size_t line, uint64_t max = UINT64_MAX)
 {
-    try {
-        size_t pos = 0;
-        const uint64_t v = std::stoull(word, &pos);
-        if (pos != word.size())
-            throw std::invalid_argument(word);
-        return v;
-    } catch (const std::exception &) {
-        fatal("ehdlcase line ", line, ": expected integer, got '", word, "'");
-    }
+    const std::optional<uint64_t> v = parseDecimal(word, max);
+    if (!v)
+        fatal("ehdlcase line ", line, ": expected an integer from 0 to ",
+              max, ", got '", word, "'");
+    return *v;
 }
 
 }  // namespace
@@ -189,7 +162,7 @@ parseCase(const std::string &text)
         } else if (key == "option") {
             std::string opt, val;
             ls >> opt >> val;
-            const uint64_t v = parseU64(val, lineno);
+            const uint64_t v = parseU64(val, lineno, UINT32_MAX);
             if (opt == "frame-bytes")
                 c.options.frameBytes = static_cast<unsigned>(v);
             else if (opt == "pruning")
@@ -218,14 +191,17 @@ parseCase(const std::string &text)
             if (def.name.empty() || me.empty())
                 fatal("ehdlcase line ", lineno, ": malformed map line");
             def.kind = parseMapKind(kind, lineno);
-            def.keySize = static_cast<uint32_t>(parseU64(ks, lineno));
-            def.valueSize = static_cast<uint32_t>(parseU64(vs, lineno));
-            def.maxEntries = static_cast<uint32_t>(parseU64(me, lineno));
+            def.keySize = static_cast<uint32_t>(
+                parseU64(ks, lineno, UINT32_MAX));
+            def.valueSize = static_cast<uint32_t>(
+                parseU64(vs, lineno, UINT32_MAX));
+            def.maxEntries = static_cast<uint32_t>(
+                parseU64(me, lineno, UINT32_MAX));
             c.prog.maps.push_back(def);
         } else if (key == "insn") {
             std::string hex;
             ls >> hex;
-            const std::vector<uint8_t> slot = fromHex(hex, lineno);
+            const std::vector<uint8_t> slot = parseHex(hex, lineno);
             if (slot.size() != 8)
                 fatal("ehdlcase line ", lineno,
                       ": insn must be exactly 8 bytes");
@@ -238,7 +214,7 @@ parseCase(const std::string &text)
                 fatal("ehdlcase line ", lineno, ": malformed packet line");
             p.id = parseU64(id, lineno);
             p.arrivalNs = parseU64(ns, lineno);
-            p.bytes = fromHex(hex, lineno);
+            p.bytes = parseHex(hex, lineno);
             c.packets.push_back(std::move(p));
         } else if (key == "ctl") {
             std::string rest;

@@ -143,30 +143,6 @@ makeCase(uint64_t seed, uint64_t iter, const FuzzOptions &opts)
     return c;
 }
 
-/** Sum every counter of @p s into @p agg (campaign-wide totals). */
-static void
-accumulatePipeStats(sim::PipeSimStats &agg, const sim::PipeSimStats &s)
-{
-    agg.cycles += s.cycles;
-    agg.offered += s.offered;
-    agg.accepted += s.accepted;
-    agg.lost += s.lost;
-    agg.completed += s.completed;
-    agg.flushEvents += s.flushEvents;
-    agg.flushedPackets += s.flushedPackets;
-    agg.replayedStages += s.replayedStages;
-    agg.stallCycles += s.stallCycles;
-    agg.hazardChecks += s.hazardChecks;
-    agg.hazardSummarySkips += s.hazardSummarySkips;
-    agg.hazardPreciseScans += s.hazardPreciseScans;
-    agg.commitBatches += s.commitBatches;
-    agg.committedWrites += s.committedWrites;
-    agg.checkpointsTaken += s.checkpointsTaken;
-    agg.checkpointsMaterialized += s.checkpointsMaterialized;
-    agg.eventJumps += s.eventJumps;
-    agg.eventSkippedCycles += s.eventSkippedCycles;
-}
-
 FuzzStats
 runFuzz(const FuzzOptions &opts, std::ostream *log)
 {
@@ -180,7 +156,9 @@ runFuzz(const FuzzOptions &opts, std::ostream *log)
         stats.vmInsns += r.vmInsns;
         if (r.compiled) {
             ++stats.compiled;
-            accumulatePipeStats(stats.pipeAgg, r.pipeStats);
+            // Cases run one after another: their cycles add up.
+            stats.pipeAgg.cycles += r.pipeStats.cycles;
+            stats.pipeAgg.addCounters(r.pipeStats);
             stats.engineInfo = r.engineInfo;
         } else if (!r.diverged()) {
             ++stats.rejected;

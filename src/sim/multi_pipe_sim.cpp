@@ -138,28 +138,7 @@ MultiPipeSim::stats() const
     for (const auto &r : replicas_) {
         const PipeSimStats &s = r->stats();
         agg.cycles = std::max(agg.cycles, s.cycles);
-        agg.offered += s.offered;
-        agg.accepted += s.accepted;
-        agg.lost += s.lost;
-        agg.completed += s.completed;
-        agg.flushEvents += s.flushEvents;
-        agg.flushedPackets += s.flushedPackets;
-        agg.replayedStages += s.replayedStages;
-        agg.stallCycles += s.stallCycles;
-        agg.passPackets += s.passPackets;
-        agg.dropPackets += s.dropPackets;
-        agg.txPackets += s.txPackets;
-        agg.redirectPackets += s.redirectPackets;
-        agg.abortedPackets += s.abortedPackets;
-        agg.hazardChecks += s.hazardChecks;
-        agg.hazardSummarySkips += s.hazardSummarySkips;
-        agg.hazardPreciseScans += s.hazardPreciseScans;
-        agg.commitBatches += s.commitBatches;
-        agg.committedWrites += s.committedWrites;
-        agg.checkpointsTaken += s.checkpointsTaken;
-        agg.checkpointsMaterialized += s.checkpointsMaterialized;
-        agg.eventJumps += s.eventJumps;
-        agg.eventSkippedCycles += s.eventSkippedCycles;
+        agg.addCounters(s);
     }
     return agg;
 }

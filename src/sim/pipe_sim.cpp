@@ -102,6 +102,33 @@ parseSchedSpec(const std::string &spec, SchedMode &mode)
     return true;
 }
 
+void
+PipeSimStats::addCounters(const PipeSimStats &s)
+{
+    offered += s.offered;
+    accepted += s.accepted;
+    lost += s.lost;
+    completed += s.completed;
+    flushEvents += s.flushEvents;
+    flushedPackets += s.flushedPackets;
+    replayedStages += s.replayedStages;
+    stallCycles += s.stallCycles;
+    passPackets += s.passPackets;
+    dropPackets += s.dropPackets;
+    txPackets += s.txPackets;
+    redirectPackets += s.redirectPackets;
+    abortedPackets += s.abortedPackets;
+    hazardChecks += s.hazardChecks;
+    hazardSummarySkips += s.hazardSummarySkips;
+    hazardPreciseScans += s.hazardPreciseScans;
+    commitBatches += s.commitBatches;
+    committedWrites += s.committedWrites;
+    checkpointsTaken += s.checkpointsTaken;
+    checkpointsMaterialized += s.checkpointsMaterialized;
+    eventJumps += s.eventJumps;
+    eventSkippedCycles += s.eventSkippedCycles;
+}
+
 struct PipeSim::Impl
 {
     /** Address read by an in-flight packet (for flush evaluation). */

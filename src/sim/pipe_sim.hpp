@@ -221,6 +221,13 @@ struct PipeSimStats
     uint64_t eventJumps = 0;           ///< event-driven clock jumps
     uint64_t eventSkippedCycles = 0;   ///< cycles those jumps covered
 
+    /**
+     * Add every counter of @p s except `cycles` into this one. Callers
+     * combine `cycles` themselves: the maximum across concurrent
+     * replicas, the sum across sequential runs.
+     */
+    void addCounters(const PipeSimStats &s);
+
     /** Achieved forwarding rate over the simulated interval. */
     double
     throughputMpps(uint64_t clock_hz) const

@@ -20,6 +20,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <string>
@@ -393,6 +394,11 @@ TEST(AotNative, ConformsOrReportsFallback)
 
 TEST(AotNative, DisabledBackendFallsBackWithReason)
 {
+    // Restore the caller's setting afterwards: a sanitizer run sets it
+    // for the whole process, and later tests must not load modules.
+    const char *prior = std::getenv("EHDL_AOT_DISABLE_NATIVE");
+    const std::optional<std::string> saved =
+        prior ? std::optional<std::string>(prior) : std::nullopt;
     ASSERT_EQ(setenv("EHDL_AOT_DISABLE_NATIVE", "1", 1), 0);
     const AppSpec spec = apps::makeRouterIpv4();
     const hdl::Pipeline pipe = hdl::compile(spec.prog);
@@ -400,7 +406,10 @@ TEST(AotNative, DisabledBackendFallsBackWithReason)
         makeWorkload(spec, kShapes[0], 200);
     const EngineRun native =
         runSingle(spec, pipe, packets, SimEngine::Aot, AotBackend::Native);
-    unsetenv("EHDL_AOT_DISABLE_NATIVE");
+    if (saved)
+        setenv("EHDL_AOT_DISABLE_NATIVE", saved->c_str(), 1);
+    else
+        unsetenv("EHDL_AOT_DISABLE_NATIVE");
 
     EXPECT_FALSE(native.info.nativeLoaded);
     EXPECT_EQ(native.info.backend, AotBackend::Portable);

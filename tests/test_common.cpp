@@ -11,6 +11,7 @@
 #include <string>
 
 #include "common/bitops.hpp"
+#include "common/hex.hpp"
 #include "common/logging.hpp"
 #include "common/parse_num.hpp"
 #include "common/rng.hpp"
@@ -210,6 +211,44 @@ TEST(ParseNum, ErrorNamesTheFlagAndValue)
         EXPECT_NE(std::string(e.what()).find("requires a value"),
                   std::string::npos);
     }
+}
+
+TEST(ParseNum, RealAcceptsNonNegativeFinite)
+{
+    EXPECT_EQ(parseNonNegativeReal("0"), 0.0);
+    EXPECT_EQ(parseNonNegativeReal("2"), 2.0);
+    EXPECT_EQ(parseNonNegativeReal("0.25"), 0.25);
+    EXPECT_EQ(parseNonNegativeReal("1e3"), 1000.0);
+    EXPECT_EQ(parseReal("--host-rate", "1.5"), 1.5);
+}
+
+TEST(ParseNum, RealRejectsSignsJunkAndNonFinite)
+{
+    // std::stod accepts all but the empty string and "x0.5" here.
+    for (const char *bad : {"-1", "-0", "+1", "0.5x", "x0.5", "", " 1", "1 ",
+                            "inf", "nan", "1e999"})
+        EXPECT_EQ(parseNonNegativeReal(bad), std::nullopt)
+            << "'" << bad << "'";
+    try {
+        parseReal("--zipf", "abc");
+        FAIL() << "expected FatalError";
+    } catch (const FatalError &e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find("--zipf"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("'abc'"), std::string::npos) << msg;
+    }
+    EXPECT_THROW(parseReal("--host-frac", nullptr), FatalError);
+}
+
+TEST(Hex, RoundTripsAndRejectsMalformed)
+{
+    const std::vector<uint8_t> bytes = {0x00, 0x7f, 0xa5, 0xff};
+    EXPECT_EQ(toHex(bytes), "007fa5ff");
+    EXPECT_EQ(fromHex("007fa5ff"), bytes);
+    EXPECT_EQ(fromHex("007FA5FF"), bytes);
+    EXPECT_EQ(fromHex(""), std::vector<uint8_t>{});
+    for (const char *bad : {"0", "0g", "abc", "-1", " 0a"})
+        EXPECT_EQ(fromHex(bad), std::nullopt) << "'" << bad << "'";
 }
 
 TEST(TextTable, RendersAligned)

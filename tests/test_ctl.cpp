@@ -228,6 +228,22 @@ TEST(CtlSchedule, ParseRejectsMalformedInput)
     EXPECT_THROW(parseSchedule("@10 swap\n"), FatalError);
 }
 
+TEST(CtlSchedule, ParseRejectsSignedCycleWithLineNumber)
+{
+    // std::stoull would wrap "-5" to 2^64 - 5, which sorts last and so
+    // passed the cycle-order check.
+    try {
+        parseSchedule("@10 stats\n@-5 stats\n");
+        FAIL() << "expected FatalError";
+    } catch (const FatalError &e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find("line 2"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("'-5'"), std::string::npos) << msg;
+    }
+    EXPECT_THROW(parseSchedule("@+5 stats\n"), FatalError);
+    EXPECT_THROW(parseSchedule("@10 stream -1 4\n"), FatalError);
+}
+
 // --- Quiescence semantics --------------------------------------------
 
 TEST(CtlController, PacketsNeverObserveTornUpdates)

@@ -9,6 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "common/logging.hpp"
 #include "ebpf/codec.hpp"
 #include "ebpf/mutate.hpp"
@@ -113,6 +116,28 @@ TEST(FuzzCaseFormat, RejectsMalformedInput)
     EXPECT_THROW(parseCase(text), FatalError);
 }
 
+TEST(FuzzCaseFormat, RejectsSignedIntegerWithLineNumber)
+{
+    const std::string text = serializeCase(makeCase(3, 7, FuzzOptions{}));
+    const size_t at = text.find("option clock-mhz ");
+    ASSERT_NE(at, std::string::npos);
+    const size_t line =
+        1 + std::count(text.begin(), text.begin() + at, '\n');
+    const size_t value = at + std::string("option clock-mhz ").size();
+    const std::string bad =
+        text.substr(0, value) + "-250" + text.substr(text.find('\n', at));
+    try {
+        parseCase(bad);
+        FAIL() << "expected FatalError";
+    } catch (const FatalError &e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find("line " + std::to_string(line) + ":"),
+                  std::string::npos)
+            << msg;
+        EXPECT_NE(msg.find("'-250'"), std::string::npos) << msg;
+    }
+}
+
 TEST(FuzzMutate, RemoveInsnRetargetsJumps)
 {
     // 0: r0 = 0 / 1: if r0 == 0 goto +2 / 2: r0 += 1 / 3: r0 += 2 /
@@ -163,6 +188,21 @@ TEST(FuzzCampaign, CleanPipelineShowsNoDivergence)
     EXPECT_EQ(stats.divergences, 0u);
     EXPECT_GT(stats.compiled, 0u);
     EXPECT_EQ(stats.iterations, 40u);
+}
+
+TEST(FuzzCampaign, VerdictCountersAddUpToCompleted)
+{
+    // The campaign-wide pipeline stats (ehdl-fuzz --stats-out) sum every
+    // per-case counter, the per-verdict ones included.
+    FuzzOptions opts;
+    opts.seed = 3;
+    opts.iterations = 50;
+    const FuzzStats stats = runFuzz(opts);
+    const sim::PipeSimStats &agg = stats.pipeAgg;
+    EXPECT_GT(agg.completed, 0u);
+    EXPECT_EQ(agg.passPackets + agg.dropPackets + agg.txPackets +
+                  agg.redirectPackets + agg.abortedPackets,
+              agg.completed);
 }
 
 TEST(FuzzCampaign, FindsAndShrinksInjectedWarBug)

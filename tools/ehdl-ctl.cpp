@@ -2,8 +2,9 @@
  * @file
  * Host control-plane driver: runs a scripted `.ctl` schedule (see
  * src/ctl/command.hpp for the format) against a built-in application
- * compiled and running under PipeSim or MultiPipeSim, over the modeled
- * PCIe mailbox channel.
+ * compiled and running under MultiPipeSim (one replica or more), over
+ * the modeled PCIe mailbox channel. The simulator flags are shared with
+ * ehdlc sim and ehdl-fuzz (sim_flags.hpp).
  *
  *   ehdl-ctl run SCHEDULE.ctl [options]
  *
@@ -30,11 +31,11 @@
 #include <map>
 #include <string>
 #include <utility>
+#include <memory>
 #include <vector>
 
-#include <memory>
-
 #include "apps/apps.hpp"
+#include "common/hex.hpp"
 #include "common/json.hpp"
 #include "common/logging.hpp"
 #include "common/parse_num.hpp"
@@ -45,37 +46,14 @@
 #include "sim/multi_pipe_sim.hpp"
 #include "sim/stats_json.hpp"
 #include "sim/traffic.hpp"
+#include "sim_flags.hpp"
 
 namespace {
 
 using namespace ehdl;
 
-/** Built-in application registry (accepts the ehdlc names + aliases). */
-apps::AppSpec
-resolveApp(const std::string &ref)
-{
-    const std::string name =
-        ref.rfind("app:", 0) == 0 ? ref.substr(4) : ref;
-    static const std::pair<const char *, apps::AppSpec (*)()> kApps[] = {
-        {"toy", apps::makeToyCounter},
-        {"firewall", apps::makeSimpleFirewall},
-        {"router", apps::makeRouterIpv4},
-        {"router_ipv4", apps::makeRouterIpv4},
-        {"tunnel", apps::makeTxIpTunnel},
-        {"dnat", apps::makeDnat},
-        {"suricata", apps::makeSuricataFilter},
-        {"leaky_bucket", apps::makeLeakyBucket},
-        {"lb", apps::makeL4LoadBalancer},
-        {"monitor", apps::makeMonitorSampler},
-    };
-    for (const auto &[key, make] : kApps)
-        if (name == key)
-            return make();
-    std::string known;
-    for (const auto &[key, make] : kApps)
-        known += std::string(known.empty() ? "" : ", ") + key;
-    fatal("unknown app '", ref, "' (known: ", known, ")");
-}
+/** ehdl-ctl's workload defaults. */
+constexpr uint64_t kPackets = 2000, kFlows = 64;
 
 void
 usage(std::ostream &os)
@@ -89,58 +67,28 @@ usage(std::ostream &os)
           "  --app NAME        application (default router_ipv4; accepts\n"
           "                    the app: prefix and ehdlc names)\n"
           "  --swap L=NAME     register app NAME as swap_program target L\n"
-          "  --replicas N      pipeline replicas (default 1 = single\n"
-          "                    PipeSim; >= 2 uses MultiPipeSim)\n"
           "  --map-mode M      sharded|shared replica maps (default\n"
-          "                    sharded)\n"
-          "  --threaded        drain sharded replicas on worker threads\n"
-          "  --packets N       workload packets (default 2000)\n"
-          "  --flows N         workload flows (default 64)\n"
+          "                    sharded; no effect on one replica)\n"
           "  --rate GBPS       line rate in Gbps (default 100)\n"
           "  --rtt N           mailbox round-trip latency, shell cycles\n"
           "                    (default 700 ~= 2.8us at 250MHz)\n"
           "  --inflight N      mailbox in-flight transaction window\n"
           "                    (default 8)\n"
-          "  --engine SPEC     stage-execution engine: interp (default),\n"
-          "                    aot, aot-native\n"
-          "  --sched MODE      cycle scheduling: dense (default) or event\n"
-          "                    (bit-identical fast-forward; quiescence\n"
-          "                    boundaries land on the same cycles)\n"
-          "  --paranoid        cross-check hazard summaries against the\n"
-          "                    full read scan\n"
           "  --poll-stats N    add a stats_read every N cycles\n"
-          "  --host-rings      attach the host DMA datapath (RX rings,\n"
-          "                    coalescing, host consumer; src/host)\n"
-          "  --ring-depth N    host RX ring depth (implies --host-rings)\n"
-          "  --host-rate MPPS  host consumer service rate (implies\n"
-          "                    --host-rings)\n"
-          "  --coalesce C[,T]  completion coalescing: IRQ after C\n"
-          "                    completions or T cycles (implies\n"
-          "                    --host-rings)\n"
-          "  --host-frac F     tag fraction F of workload flows as\n"
-          "                    host-destined (PASS-heavy)\n"
-          "  --stats-out FILE  write the apply log + final stats as JSON\n"
           "  --verify          cross-check against the reference VM\n"
           "                    replay (single or sharded backends)\n"
-          "  --quiet           suppress the per-transaction table\n";
-}
-
-std::string
-hex(const std::vector<uint8_t> &bytes)
-{
-    static const char *digits = "0123456789abcdef";
-    std::string out;
-    for (const uint8_t b : bytes) {
-        out += digits[b >> 4];
-        out += digits[b & 0xf];
-    }
-    return out;
+          "  --quiet           suppress the per-transaction table\n"
+          "\n"
+          "--stats-out writes the apply log and final stats as JSON.\n"
+          "\n"
+       << tools::SimFlags(tools::SimFlagGroups::EngineAndRun, kPackets, kFlows)
+              .help();
 }
 
 using sim::statsJson;
 
 Json
-reportJson(const ctl::CtlRunReport &report)
+reportJson(const ctl::CtlRunReport &report, uint64_t clock_hz)
 {
     Json txns = Json::array();
     for (const ctl::CtlTxnRecord &rec : report.txns) {
@@ -171,7 +119,7 @@ reportJson(const ctl::CtlRunReport &report)
                         o.set("negative", Json::boolean(true));
                     if (r.hit || !r.value.empty()) {
                         o.set("hit", Json::boolean(r.hit));
-                        o.set("value", Json::str(hex(r.value)));
+                        o.set("value", Json::str(toHex(r.value)));
                     }
                     per_op.push(std::move(o));
                 }
@@ -182,7 +130,7 @@ reportJson(const ctl::CtlRunReport &report)
         if (!rec.statsSnapshot.empty()) {
             Json snaps = Json::array();
             for (const sim::PipeSimStats &s : rec.statsSnapshot)
-                snaps.push(statsJson(s, 250'000'000));
+                snaps.push(statsJson(s, clock_hz));
             t.set("stats", std::move(snaps));
         }
         if (!rec.streamSamples.empty()) {
@@ -194,7 +142,7 @@ reportJson(const ctl::CtlRunReport &report)
                 for (const ctl::CtlStreamSample &s : series) {
                     Json sample;
                     sample.set("cycle", Json::integer(s.cycle))
-                        .set("stats", statsJson(s.stats, 250'000'000));
+                        .set("stats", statsJson(s.stats, clock_hz));
                     if (s.hostValid)
                         sample.set("host", host::hostQueueJson(s.host));
                     samples.push(std::move(sample));
@@ -216,24 +164,13 @@ struct Options
     std::string schedulePath;
     std::string app = "router_ipv4";
     std::vector<std::pair<std::string, std::string>> swaps;
-    unsigned replicas = 1;
-    sim::MapMode mapMode = sim::MapMode::Sharded;
-    bool threaded = false;
-    uint64_t packets = 2000;
-    uint64_t flows = 64;
+    tools::SimFlags flags{tools::SimFlagGroups::EngineAndRun, kPackets,
+                          kFlows};
     double rateGbps = 100.0;
-    sim::SimEngine engine = sim::SimEngine::Interp;
-    sim::AotBackend aotBackend = sim::AotBackend::Portable;
-    sim::SchedMode schedMode = sim::SchedMode::Dense;
-    bool paranoid = false;
     ctl::CtlChannelConfig channel;
     uint64_t pollStats = 0;
-    std::string statsOut;
     bool verify = false;
     bool quiet = false;
-    bool hostRings = false;
-    host::HostDmaConfig hostConfig;
-    double hostFrac = 0.0;
 };
 
 /** Inject a periodic stats_read every @p period cycles over the run. */
@@ -303,7 +240,9 @@ run(int argc, char **argv)
         const auto value = [&]() -> const char * {
             return argi + 1 < argc ? argv[++argi] : nullptr;
         };
-        if (arg == "--help" || arg == "-h") {
+        if (opt.flags.consume(argc, argv, argi)) {
+            continue;
+        } else if (arg == "--help" || arg == "-h") {
             usage(std::cout);
             return 0;
         } else if (arg == "--app") {
@@ -317,22 +256,14 @@ run(int argc, char **argv)
             if (!eq || eq == v || !eq[1])
                 fatal("--swap requires LABEL=APP");
             opt.swaps.emplace_back(std::string(v, eq), std::string(eq + 1));
-        } else if (arg == "--replicas") {
-            opt.replicas = parseNum<unsigned>("--replicas", value());
         } else if (arg == "--map-mode") {
             const char *v = value();
             if (v && std::string(v) == "sharded")
-                opt.mapMode = sim::MapMode::Sharded;
+                opt.flags.multi.mapMode = sim::MapMode::Sharded;
             else if (v && std::string(v) == "shared")
-                opt.mapMode = sim::MapMode::Shared;
+                opt.flags.multi.mapMode = sim::MapMode::Shared;
             else
                 fatal("--map-mode must be sharded or shared");
-        } else if (arg == "--threaded") {
-            opt.threaded = true;
-        } else if (arg == "--packets") {
-            opt.packets = parseNum<uint64_t>("--packets", value());
-        } else if (arg == "--flows") {
-            opt.flows = parseNum<uint64_t>("--flows", value());
         } else if (arg == "--rate") {
             opt.rateGbps =
                 static_cast<double>(parseNum<uint64_t>("--rate", value()));
@@ -342,55 +273,8 @@ run(int argc, char **argv)
         } else if (arg == "--inflight") {
             opt.channel.maxInFlight =
                 parseNum<unsigned>("--inflight", value());
-        } else if (arg == "--engine") {
-            const char *v = value();
-            sim::PipeSimConfig ec;
-            if (!v || !sim::parseEngineSpec(v, ec))
-                fatal("--engine expects interp, aot or aot-native");
-            opt.engine = ec.engine;
-            opt.aotBackend = ec.aotBackend;
-        } else if (arg == "--sched") {
-            const char *v = value();
-            if (!v || !sim::parseSchedSpec(v, opt.schedMode))
-                fatal("--sched expects dense or event");
-        } else if (arg == "--paranoid") {
-            opt.paranoid = true;
-        } else if (arg == "--host-rings") {
-            opt.hostRings = true;
-        } else if (arg == "--ring-depth") {
-            opt.hostRings = true;
-            opt.hostConfig.ringDepth =
-                parseNum<unsigned>("--ring-depth", value());
-        } else if (arg == "--host-rate") {
-            const char *v = value();
-            if (!v)
-                fatal("--host-rate requires a value");
-            opt.hostRings = true;
-            opt.hostConfig.hostRateMpps = std::stod(v);
-        } else if (arg == "--coalesce") {
-            const char *v = value();
-            if (!v)
-                fatal("--coalesce requires COUNT[,TIMEOUT]");
-            opt.hostRings = true;
-            const std::string spec = v;
-            const size_t comma = spec.find(',');
-            opt.hostConfig.coalesceCount = parseNum<unsigned>(
-                "--coalesce", spec.substr(0, comma).c_str());
-            if (comma != std::string::npos)
-                opt.hostConfig.coalesceTimeoutCycles = parseNum<uint64_t>(
-                    "--coalesce", spec.substr(comma + 1).c_str());
-        } else if (arg == "--host-frac") {
-            const char *v = value();
-            if (!v)
-                fatal("--host-frac requires a value");
-            opt.hostFrac = std::stod(v);
         } else if (arg == "--poll-stats") {
             opt.pollStats = parseNum<uint64_t>("--poll-stats", value());
-        } else if (arg == "--stats-out") {
-            const char *v = value();
-            if (!v)
-                fatal("--stats-out requires a file");
-            opt.statsOut = v;
         } else if (arg == "--verify") {
             opt.verify = true;
         } else if (arg == "--quiet") {
@@ -408,20 +292,18 @@ run(int argc, char **argv)
         usage(std::cerr);
         fatal("a SCHEDULE.ctl file is required");
     }
-    if (opt.replicas == 0)
-        fatal("--replicas must be at least 1");
-    if (opt.verify && opt.replicas >= 2 &&
-        opt.mapMode == sim::MapMode::Shared)
+    const sim::MultiPipeSimConfig config = opt.flags.runConfig();
+    if (opt.verify && config.mapMode == sim::MapMode::Shared)
         fatal("--verify is unavailable with --map-mode shared (no global "
               "sequential packet order to replay)");
 
     // Application + swap targets: compile everything up front.
-    const apps::AppSpec spec = resolveApp(opt.app);
+    const apps::AppSpec spec = apps::appByName(opt.app);
     const hdl::Pipeline pipe = hdl::compile(spec.prog);
     std::vector<std::pair<std::string, apps::AppSpec>> swap_specs;
     std::vector<std::pair<std::string, hdl::Pipeline>> swap_pipes;
     for (const auto &[label, ref] : opt.swaps) {
-        swap_specs.emplace_back(label, resolveApp(ref));
+        swap_specs.emplace_back(label, apps::appByName(ref));
         swap_pipes.emplace_back(label,
                                 hdl::compile(swap_specs.back().second.prog));
     }
@@ -429,17 +311,15 @@ run(int argc, char **argv)
     ctl::CtlSchedule sched = ctl::loadSchedule(opt.schedulePath);
 
     // Workload: the app's suggested traffic shape at the requested rate.
-    sim::TrafficConfig tc;
-    tc.numFlows = opt.flows;
+    sim::TrafficConfig tc = opt.flags.traffic;
     tc.lineRateGbps = opt.rateGbps;
     tc.ipProto = spec.ipProto;
     tc.reverseFraction = spec.reverseFraction;
-    tc.hostFlowFraction = opt.hostFrac;
     tc.seed = 42;
     sim::TrafficGen gen(tc);
     std::vector<net::Packet> packets;
-    packets.reserve(opt.packets);
-    for (uint64_t i = 0; i < opt.packets; ++i)
+    packets.reserve(opt.flags.packets);
+    for (uint64_t i = 0; i < opt.flags.packets; ++i)
         packets.push_back(gen.next());
     if (opt.pollStats > 0) {
         const uint64_t end = gen.nowNs() / 4 + 2000;
@@ -451,79 +331,31 @@ run(int argc, char **argv)
     for (const auto &[label, s] : swap_specs)
         vm_programs.emplace(label, &s.prog);
 
-    ctl::CtlRunReport report;
-    sim::PipeSimStats final_stats;
-    sim::EngineInfo engine_info;
-    std::unique_ptr<host::HostDatapath> host;
-    if (opt.hostRings) {
-        opt.hostConfig.numQueues = opt.replicas;
-        host = std::make_unique<host::HostDatapath>(opt.hostConfig);
-    }
-
-    if (opt.replicas == 1) {
-        ebpf::MapSet maps(spec.prog.maps);
-        spec.seedMaps(maps);
-        sim::PipeSimConfig sc;
-        sc.inputQueueCapacity = 1u << 20;
-        sc.engine = opt.engine;
-        sc.aotBackend = opt.aotBackend;
-        sc.schedMode = opt.schedMode;
-        sc.paranoidChecks = opt.paranoid;
-        sim::PipeSim sim(pipe, maps, sc);
-        if (host)
-            host->attach(sim);
-        for (const net::Packet &pkt : packets)
-            sim.offer(pkt);
-        ctl::CtlController ctrl(sim, maps, opt.channel);
-        ctrl.attachHost(host.get());
-        for (const auto &[label, p] : swap_pipes)
-            ctrl.addProgram(label, p);
-        report = ctrl.run(sched);
-        sim.drain();
-        final_stats = sim.stats();
-        engine_info = sim.engineInfo();
-        if (opt.verify) {
-            ebpf::MapSet vm_maps(spec.prog.maps);
-            spec.seedMaps(vm_maps);
-            verifyReplica(spec.prog, vm_programs, packets, report, 0,
-                          vm_maps, sim, maps);
-        }
-    } else {
-        ebpf::MapSet seed(spec.prog.maps);
-        spec.seedMaps(seed);
-        sim::MultiPipeSimConfig mc;
-        mc.numReplicas = opt.replicas;
-        mc.mapMode = opt.mapMode;
-        mc.threaded = opt.threaded;
-        mc.pipe.inputQueueCapacity = 1u << 20;
-        mc.pipe.engine = opt.engine;
-        mc.pipe.aotBackend = opt.aotBackend;
-        mc.pipe.schedMode = opt.schedMode;
-        mc.pipe.paranoidChecks = opt.paranoid;
-        sim::MultiPipeSim multi(pipe, seed, mc);
-        if (host)
-            host->attach(multi);
-        std::vector<std::vector<net::Packet>> streams(opt.replicas);
+    // One MultiPipeSim for every replica count.
+    ebpf::MapSet seed(spec.prog.maps);
+    spec.seedMaps(seed);
+    sim::MultiPipeSim multi(pipe, seed, config);
+    const std::unique_ptr<host::HostDatapath> host =
+        opt.flags.attachHost(multi);
+    for (const net::Packet &pkt : packets)
+        multi.offer(pkt);
+    ctl::CtlController ctrl(multi, opt.channel);
+    ctrl.attachHost(host.get());
+    for (const auto &[label, p] : swap_pipes)
+        ctrl.addProgram(label, p);
+    const ctl::CtlRunReport report = ctrl.run(sched);
+    multi.drain();
+    const sim::PipeSimStats final_stats = multi.stats();
+    const sim::EngineInfo &engine_info = multi.engineInfo();
+    if (opt.verify) {
+        std::vector<std::vector<net::Packet>> streams(multi.numReplicas());
         for (const net::Packet &pkt : packets)
             streams[multi.dispatch(pkt)].push_back(pkt);
-        for (const net::Packet &pkt : packets)
-            multi.offer(pkt);
-        ctl::CtlController ctrl(multi, opt.channel);
-        ctrl.attachHost(host.get());
-        for (const auto &[label, p] : swap_pipes)
-            ctrl.addProgram(label, p);
-        report = ctrl.run(sched);
-        multi.drain();
-        final_stats = multi.stats();
-        engine_info = multi.engineInfo();
-        if (opt.verify) {
-            for (unsigned r = 0; r < opt.replicas; ++r) {
-                ebpf::MapSet vm_maps(spec.prog.maps);
-                spec.seedMaps(vm_maps);
-                verifyReplica(spec.prog, vm_programs, streams[r], report,
-                              r, vm_maps, multi.replica(r),
-                              multi.replicaMaps(r));
-            }
+        for (unsigned r = 0; r < multi.numReplicas(); ++r) {
+            ebpf::MapSet vm_maps(spec.prog.maps);
+            spec.seedMaps(vm_maps);
+            verifyReplica(spec.prog, vm_programs, streams[r], report, r,
+                          vm_maps, multi.replica(r), multi.replicaMaps(r));
         }
     }
 
@@ -531,7 +363,7 @@ run(int argc, char **argv)
         host->finishAll();
 
     if (!opt.quiet) {
-        std::cout << "app " << spec.prog.name << ", " << opt.replicas
+        std::cout << "app " << spec.prog.name << ", " << config.numReplicas
                   << " replica(s), " << packets.size() << " packets, "
                   << report.txns.size() << " transactions, engine "
                   << engine_info.describe() << "\n";
@@ -556,7 +388,8 @@ run(int argc, char **argv)
         std::cout << "final: " << final_stats.completed << " completed, "
                   << final_stats.lost << " lost, " << final_stats.cycles
                   << " cycles, "
-                  << final_stats.throughputMpps(250'000'000) << " Mpps\n";
+                  << final_stats.throughputMpps(config.pipe.clockHz)
+                  << " Mpps\n";
         if (host) {
             const host::HostQueueCounters t = host->totals();
             std::cout << "host: " << t.consumed << " consumed, "
@@ -568,18 +401,19 @@ run(int argc, char **argv)
             std::cout << "verify: OK (VM replay matches)\n";
     }
 
-    if (!opt.statsOut.empty()) {
+    if (!opt.flags.statsOut.empty()) {
         Json root;
         root.set("app", Json::str(spec.prog.name))
             .set("schedule", Json::str(opt.schedulePath));
-        root.set("backend",
-                 Json::str(opt.replicas == 1 ? "pipesim" : "multipipesim"))
-            .set("replicas", Json::integer(opt.replicas))
+        root.set("backend", Json::str(config.numReplicas == 1
+                                          ? "pipesim"
+                                          : "multipipesim"))
+            .set("replicas", Json::integer(config.numReplicas))
             .set("mapMode",
-                 Json::str(opt.mapMode == sim::MapMode::Sharded
+                 Json::str(opt.flags.multi.mapMode == sim::MapMode::Sharded
                                ? "sharded"
                                : "shared"))
-            .set("threaded", Json::boolean(opt.threaded))
+            .set("threaded", Json::boolean(opt.flags.multi.threaded))
             .set("channel",
                  Json()
                      .set("roundTripCycles",
@@ -589,26 +423,20 @@ run(int argc, char **argv)
             .set("workload",
                  Json()
                      .set("packets", Json::integer(packets.size()))
-                     .set("flows", Json::integer(opt.flows))
+                     .set("flows", Json::integer(tc.numFlows))
                      .set("rateGbps", Json::num(opt.rateGbps)))
-            .set("engine",
-                 Json()
-                     .set("active", Json::str(engine_info.describe()))
-                     .set("aotAvailable",
-                          Json::boolean(engine_info.nativeLoaded))
-                     .set("fallbackReason",
-                          Json::str(engine_info.fallbackReason)))
-            .set("finalStats", statsJson(final_stats, 250'000'000))
+            .set("engine", sim::engineJson(engine_info))
+            .set("finalStats", statsJson(final_stats, config.pipe.clockHz))
             .set("verified", Json::boolean(opt.verify))
-            .set("report", reportJson(report));
+            .set("report", reportJson(report, config.pipe.clockHz));
         if (host)
             root.set("host", host::hostDatapathJson(*host));
-        std::ofstream out(opt.statsOut);
+        std::ofstream out(opt.flags.statsOut);
         if (!out)
-            fatal("cannot write '", opt.statsOut, "'");
+            fatal("cannot write '", opt.flags.statsOut, "'");
         out << root.dump() << "\n";
         if (!opt.quiet)
-            std::cout << "stats written to " << opt.statsOut << "\n";
+            std::cout << "stats written to " << opt.flags.statsOut << "\n";
     }
     return 0;
 }

@@ -8,6 +8,8 @@
  * Campaign exit status: 0 when no divergence was found, 1 when at least one
  * was (reproducers are shrunk and optionally written to --corpus DIR).
  * Replay exit status: 0 when every case matches its recorded expectation.
+ * The engine flags (--engine, --sched, --paranoid, --stats-out) are shared
+ * with ehdlc sim and ehdl-ctl run (sim_flags.hpp).
  */
 
 #include <cstdint>
@@ -23,6 +25,7 @@
 #include "fuzz/diff.hpp"
 #include "fuzz/fuzzer.hpp"
 #include "sim/stats_json.hpp"
+#include "sim_flags.hpp"
 
 namespace {
 
@@ -48,12 +51,7 @@ usage(std::ostream &os)
           "                     vs sharded MultiPipeSim final map state\n"
           "  --ctl-txns N       max transactions per schedule (default 8)\n"
           "  --ctl-replicas N   MultiPipeSim replicas for --ctl cases\n"
-          "  --engine SPEC      pipeline engine: interp (default), aot,\n"
-          "                     aot-native (also applies to --replay)\n"
           "                     (default 2, below 2 disables that backend)\n"
-          "  --sched MODE       cycle scheduling: dense (default) or event\n"
-          "                     (event-driven fast-forward, contracted\n"
-          "                     bit-identical to dense)\n"
           "  --host             attach a small-ring host DMA datapath to\n"
           "                     every pipeline backend; the differential\n"
           "                     contract must hold unchanged and drained\n"
@@ -61,15 +59,15 @@ usage(std::ostream &os)
           "                     (consumed + shellDrops == PASS verdicts)\n"
           "  --host-ring N      ring depth of the --host model (default\n"
           "                     16; small keeps backpressure paths hot)\n"
-          "  --paranoid         cross-check the O(1) hazard summaries\n"
-          "                     against the full read scan (panics on a\n"
-          "                     summary false negative)\n"
-          "  --stats-out FILE   write campaign counters, engine info and\n"
-          "                     aggregated pipeline stats as JSON\n"
           "  --no-shrink        keep reproducers unreduced\n"
           "  --all              keep fuzzing past the first divergence\n"
           "  --corpus DIR       write shrunk reproducers to DIR\n"
-          "  --quiet            suppress progress output\n";
+          "  --quiet            suppress progress output\n"
+          "\n"
+          "The engine flags also apply to --replay; --stats-out writes\n"
+          "campaign counters, engine info and aggregated pipeline stats.\n"
+          "\n"
+       << tools::SimFlags(tools::SimFlagGroups::Engine).help();
 }
 
 int
@@ -98,8 +96,8 @@ int
 run(int argc, char **argv)
 {
     fuzz::FuzzOptions opts;
+    tools::SimFlags flags(tools::SimFlagGroups::Engine);
     std::vector<std::string> replay_paths;
-    std::string stats_out;
     bool quiet = false;
 
     for (int i = 1; i < argc; ++i) {
@@ -107,7 +105,9 @@ run(int argc, char **argv)
         const auto value = [&]() -> const char * {
             return i + 1 < argc ? argv[++i] : nullptr;
         };
-        if (arg == "--help" || arg == "-h") {
+        if (flags.consume(argc, argv, i)) {
+            continue;
+        } else if (arg == "--help" || arg == "-h") {
             usage(std::cout);
             return 0;
         } else if (arg == "--replay") {
@@ -136,17 +136,6 @@ run(int argc, char **argv)
         } else if (arg == "--ctl-replicas") {
             opts.run.ctlReplicas =
                 parseNum<unsigned>("--ctl-replicas", value());
-        } else if (arg == "--engine") {
-            const char *spec = value();
-            sim::PipeSimConfig ec;
-            if (!spec || !sim::parseEngineSpec(spec, ec))
-                fatal("--engine expects interp, aot or aot-native");
-            opts.run.engine = ec.engine;
-            opts.run.aotBackend = ec.aotBackend;
-        } else if (arg == "--sched") {
-            const char *spec = value();
-            if (!spec || !sim::parseSchedSpec(spec, opts.run.schedMode))
-                fatal("--sched expects dense or event");
         } else if (arg == "--host") {
             opts.run.hostModel = true;
         } else if (arg == "--host-ring") {
@@ -155,13 +144,6 @@ run(int argc, char **argv)
                 fatal("--host-ring must be at least 1");
             opts.run.hostModel = true;
             opts.run.hostRingDepth = depth;
-        } else if (arg == "--paranoid") {
-            opts.run.paranoidChecks = true;
-        } else if (arg == "--stats-out") {
-            const char *path = value();
-            if (!path)
-                fatal("--stats-out requires a file path");
-            stats_out = path;
         } else if (arg == "--no-shrink") {
             opts.shrink = false;
         } else if (arg == "--all") {
@@ -184,6 +166,11 @@ run(int argc, char **argv)
         fatal("--flows must be at least 1");
     if (opts.ctl && opts.ctlMaxTxns == 0)
         fatal("--ctl-txns must be at least 1");
+    const sim::PipeSimConfig &engine = flags.multi.pipe;
+    opts.run.engine = engine.engine;
+    opts.run.aotBackend = engine.aotBackend;
+    opts.run.schedMode = engine.schedMode;
+    opts.run.paranoidChecks = engine.paranoidChecks;
 
     if (!replay_paths.empty())
         return replay(replay_paths, opts.run);
@@ -209,7 +196,7 @@ run(int argc, char **argv)
             std::cout << " -> " << rec.savedPath;
         std::cout << "\n";
     }
-    if (!stats_out.empty()) {
+    if (!flags.statsOut.empty()) {
         Json root;
         Json campaign;
         campaign.set("iterations", Json::integer(stats.iterations))
@@ -220,13 +207,13 @@ run(int argc, char **argv)
             .set("vmInsns", Json::integer(stats.vmInsns));
         root.set("campaign", std::move(campaign))
             .set("engine", sim::engineJson(stats.engineInfo))
-            .set("pipeStats", sim::statsJson(stats.pipeAgg, 250'000'000));
-        std::ofstream out(stats_out);
+            .set("pipeStats", sim::statsJson(stats.pipeAgg, engine.clockHz));
+        std::ofstream out(flags.statsOut);
         if (!out)
-            fatal("cannot write '", stats_out, "'");
+            fatal("cannot write '", flags.statsOut, "'");
         out << root.dump() << "\n";
         if (!quiet)
-            std::cout << "stats written to " << stats_out << "\n";
+            std::cout << "stats written to " << flags.statsOut << "\n";
     }
     return stats.divergences == 0 ? 0 : 1;
 }

@@ -12,7 +12,8 @@
  *                 [--dump-after=<pass>] [--list-passes]
  *   ehdlc disasm  <prog>
  *   ehdlc verify  <prog>
- *   ehdlc sim     <prog> [--packets N] [--flows N] [--zipf S] [--len N]
+ *   ehdlc sim     <prog> [--zipf S] [--len N] [--pcap-in f] [--pcap-out f]
+ *                 [--profile-phases] [engine and run flags]
  *   ehdlc report  <prog>            # pipeline + resource summary
  *
  * <prog> is a textual assembly file (see ebpf/asm.hpp for the syntax), a
@@ -24,8 +25,13 @@
  * diagnostic (not just the first) and exits nonzero. --report=<file>
  * writes the CompileReport JSON — per-pass wall times, diagnostics and
  * pipeline geometry — whether or not compilation succeeded.
+ *
+ * The engine and run flags of `sim` are shared with ehdl-ctl and
+ * ehdl-fuzz (sim_flags.hpp); `sim` runs one MultiPipeSim for every
+ * replica count.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -50,9 +56,9 @@
 #include "net/pcap.hpp"
 #include "sim/multi_pipe_sim.hpp"
 #include "sim/nic_shell.hpp"
-#include "sim/pipe_sim.hpp"
 #include "sim/stats_json.hpp"
 #include "sim/traffic.hpp"
+#include "sim_flags.hpp"
 
 using namespace ehdl;
 
@@ -69,36 +75,12 @@ readFile(const std::string &path)
     return body.str();
 }
 
-/** Resolve an app:<name> reference to a built-in evaluation program. */
-ebpf::Program
-loadBuiltinApp(const std::string &name)
-{
-    static const std::pair<const char *, apps::AppSpec (*)()> kApps[] = {
-        {"toy", apps::makeToyCounter},
-        {"firewall", apps::makeSimpleFirewall},
-        {"router", apps::makeRouterIpv4},
-        {"tunnel", apps::makeTxIpTunnel},
-        {"dnat", apps::makeDnat},
-        {"suricata", apps::makeSuricataFilter},
-        {"leaky_bucket", apps::makeLeakyBucket},
-        {"lb", apps::makeL4LoadBalancer},
-        {"monitor", apps::makeMonitorSampler},
-    };
-    for (const auto &[key, make] : kApps)
-        if (name == key)
-            return make().prog;
-    std::string known;
-    for (const auto &[key, make] : kApps)
-        known += std::string(known.empty() ? "" : ", ") + key;
-    fatal("unknown built-in app '", name, "' (known: ", known, ")");
-}
-
 /** Load a program from assembly, raw bytecode, an ELF object or app:. */
 ebpf::Program
 loadProgram(const std::string &path)
 {
     if (path.rfind("app:", 0) == 0)
-        return loadBuiltinApp(path.substr(4));
+        return apps::appByName(path).prog;
     const std::string body = readFile(path);
     const std::string name = [&path] {
         const size_t slash = path.find_last_of('/');
@@ -302,31 +284,21 @@ cmdVerify(const std::string &input)
     return 1;
 }
 
-/** Report which engine actually runs, including any native fallback. */
-void
-printEngine(const sim::EngineInfo &info)
-{
-    std::printf("engine: %s\n", info.describe().c_str());
-    if (!info.fallbackReason.empty())
-        std::printf("  native backend unavailable: %s\n",
-                    info.fallbackReason.c_str());
-}
-
-/** Machine-readable stats for `sim --stats-out` (both backends). */
+/** Machine-readable stats for `sim --stats-out`. */
 void
 writeSimStats(const std::string &path, const std::string &prog_name,
-              unsigned replicas, bool threaded, const std::string &sched,
-              const sim::EngineInfo &engine, const sim::PipeSimStats &stats,
-              uint64_t clock_hz, const sim::PipeSimPhaseProfile &phases,
-              const host::HostDatapath *host = nullptr)
+              const sim::MultiPipeSim &multi, const host::HostDatapath *host)
 {
+    const sim::MultiPipeSimConfig &config = multi.config();
+    const bool event = config.pipe.schedMode == sim::SchedMode::EventDriven;
     Json root;
     root.set("app", Json::str(prog_name))
-        .set("replicas", Json::integer(replicas))
-        .set("threaded", Json::boolean(threaded))
-        .set("sched", Json::str(sched))
-        .set("engine", sim::engineJson(engine))
-        .set("stats", sim::statsJson(stats, clock_hz));
+        .set("replicas", Json::integer(config.numReplicas))
+        .set("threaded", Json::boolean(config.threaded))
+        .set("sched", Json::str(event ? "event" : "dense"))
+        .set("engine", sim::engineJson(multi.engineInfo()))
+        .set("stats", sim::statsJson(multi.stats(), config.pipe.clockHz));
+    const sim::PipeSimPhaseProfile phases = multi.phaseProfile();
     if (phases.enabled)
         root.set("phases", sim::phaseProfileJson(phases));
     if (host != nullptr)
@@ -363,76 +335,29 @@ printHostSummary(const host::HostDatapath &host)
     }
 }
 
-/** Parse `--coalesce COUNT[,TIMEOUT]` into @p config. */
-void
-parseCoalesceSpec(const std::string &spec, host::HostDmaConfig &config)
-{
-    const size_t comma = spec.find(',');
-    config.coalesceCount =
-        parseNum<unsigned>("--coalesce", spec.substr(0, comma).c_str());
-    if (comma != std::string::npos)
-        config.coalesceTimeoutCycles = parseNum<uint64_t>(
-            "--coalesce", spec.substr(comma + 1).c_str());
-}
+/** ehdlc sim's workload default. */
+constexpr uint64_t kSimPackets = 10000;
 
 int
 cmdSim(int argc, char **argv)
 {
     std::string input;
     std::string pcap_in, pcap_out;
-    std::string stats_out;
-    int packets = 10000;
-    unsigned replicas = 1;
-    bool threaded = false;
-    std::string engine_spec = "interp";
-    std::string sched_spec = "dense";
-    bool paranoid = false;
-    bool profile_phases = false;
-    bool host_rings = false;
-    host::HostDmaConfig host_config;
-    sim::TrafficConfig traffic;
+    tools::SimFlags flags(tools::SimFlagGroups::EngineAndRun, kSimPackets);
     for (int i = 0; i < argc; ++i) {
         const std::string arg = argv[i];
-        if (arg == "--packets" && i + 1 < argc)
-            packets = parseNum<int>("--packets", argv[++i]);
-        else if (arg == "--host-rings")
-            host_rings = true;
-        else if (arg == "--ring-depth" && i + 1 < argc) {
-            host_rings = true;
-            host_config.ringDepth =
-                parseNum<unsigned>("--ring-depth", argv[++i]);
-        } else if (arg == "--host-rate" && i + 1 < argc) {
-            host_rings = true;
-            host_config.hostRateMpps = std::stod(argv[++i]);
-        } else if (arg == "--coalesce" && i + 1 < argc) {
-            host_rings = true;
-            parseCoalesceSpec(argv[++i], host_config);
-        } else if (arg == "--host-frac" && i + 1 < argc)
-            traffic.hostFlowFraction = std::stod(argv[++i]);
-        else if (arg == "--engine" && i + 1 < argc)
-            engine_spec = argv[++i];
-        else if (arg == "--sched" && i + 1 < argc)
-            sched_spec = argv[++i];
-        else if (arg == "--paranoid")
-            paranoid = true;
-        else if (arg == "--profile-phases")
-            profile_phases = true;
+        if (flags.consume(argc, argv, i))
+            continue;
+        if (arg == "--profile-phases")
+            flags.multi.pipe.profilePhases = true;
         else if (arg == "--pcap-in" && i + 1 < argc)
             pcap_in = argv[++i];
         else if (arg == "--pcap-out" && i + 1 < argc)
             pcap_out = argv[++i];
-        else if (arg == "--stats-out" && i + 1 < argc)
-            stats_out = argv[++i];
-        else if (arg == "--flows" && i + 1 < argc)
-            traffic.numFlows = parseNum<uint64_t>("--flows", argv[++i]);
         else if (arg == "--zipf" && i + 1 < argc)
-            traffic.zipfS = std::stod(argv[++i]);
+            flags.traffic.zipfS = parseReal("--zipf", argv[++i]);
         else if (arg == "--len" && i + 1 < argc)
-            traffic.packetLen = parseNum<uint32_t>("--len", argv[++i]);
-        else if (arg == "--replicas" && i + 1 < argc)
-            replicas = parseNum<unsigned>("--replicas", argv[++i]);
-        else if (arg == "--threaded")
-            threaded = true;
+            flags.traffic.packetLen = parseNum<uint32_t>("--len", argv[++i]);
         else if (!arg.empty() && arg[0] != '-')
             input = arg;
         else
@@ -440,55 +365,77 @@ cmdSim(int argc, char **argv)
     }
     if (input.empty())
         fatal("sim: missing input file");
-    if (replicas == 0)
-        fatal("--replicas must be at least 1");
-    sim::SchedMode sched_mode = sim::SchedMode::Dense;
-    if (!sim::parseSchedSpec(sched_spec, sched_mode))
-        fatal("unknown sched mode '", sched_spec, "' (dense, event)");
 
     const ebpf::Program prog = loadProgram(input);
     const hdl::Pipeline pipe = hdl::compile(prog);
     printReport(pipe);
 
-    if (replicas > 1) {
-        // Multi-queue mode: N sharded replicas behind the RSS dispatch.
-        ebpf::MapSet maps(prog.maps);
-        sim::MultiPipeSimConfig mconfig;
-        mconfig.numReplicas = replicas;
-        mconfig.threaded = threaded;
-        mconfig.pipe.inputQueueCapacity = 1u << 20;
-        mconfig.pipe.schedMode = sched_mode;
-        mconfig.pipe.paranoidChecks = paranoid;
-        mconfig.pipe.profilePhases = profile_phases;
-        if (!sim::parseEngineSpec(engine_spec, mconfig.pipe))
-            fatal("unknown engine '", engine_spec,
-                  "' (interp, aot, aot-native)");
-        sim::MultiPipeSim multi(pipe, maps, mconfig);
-        printEngine(multi.engineInfo());
-        std::unique_ptr<host::HostDatapath> host;
-        if (host_rings) {
-            host_config.numQueues = replicas;
-            host_config.clockHz = mconfig.pipe.clockHz;
-            host = std::make_unique<host::HostDatapath>(host_config);
-            host->attach(multi);
+    // One MultiPipeSim for every replica count: N replicas behind the
+    // RSS dispatch, each with its own map shard.
+    ebpf::MapSet maps(prog.maps);
+    const sim::MultiPipeSimConfig config = flags.runConfig();
+    sim::MultiPipeSim multi(pipe, maps, config);
+    const sim::EngineInfo &engine = multi.engineInfo();
+    std::printf("engine: %s\n", engine.describe().c_str());
+    if (!engine.fallbackReason.empty())
+        std::printf("  native backend unavailable: %s\n",
+                    engine.fallbackReason.c_str());
+    const std::unique_ptr<host::HostDatapath> host = flags.attachHost(multi);
+    uint64_t packets = flags.packets;
+    if (!pcap_in.empty()) {
+        const std::vector<net::Packet> replay = net::readPcap(pcap_in);
+        packets = replay.size();
+        for (const net::Packet &pkt : replay)
+            multi.offer(pkt);
+    } else {
+        sim::TrafficGen gen(flags.traffic);
+        for (uint64_t i = 0; i < packets; ++i)
+            multi.offer(gen.next());
+    }
+    multi.drain();
+    if (!pcap_out.empty()) {
+        // Emit forwarded packets (TX/redirect) as seen on the wire.
+        std::vector<net::Packet> emitted;
+        for (const sim::PacketOutcome &out : multi.outcomes()) {
+            if (out.action == ebpf::XdpAction::Tx ||
+                out.action == ebpf::XdpAction::Redirect) {
+                net::Packet pkt(out.bytes);
+                pkt.arrivalNs = out.exitCycle * 4;
+                emitted.push_back(std::move(pkt));
+            }
         }
-        if (!pcap_in.empty()) {
-            const std::vector<net::Packet> replay = net::readPcap(pcap_in);
-            packets = static_cast<int>(replay.size());
-            for (const net::Packet &pkt : replay)
-                multi.offer(pkt);
-        } else {
-            sim::TrafficGen gen(traffic);
-            for (int i = 0; i < packets; ++i)
-                multi.offer(gen.next());
-        }
-        multi.drain();
-        const sim::PipeSimStats agg = multi.stats();
-        std::printf("\nsimulated %d packets across %u replicas:\n",
-                    packets, replicas);
+        // Replicas retire concurrently: order the capture by wire time.
+        std::stable_sort(emitted.begin(), emitted.end(),
+                         [](const net::Packet &a, const net::Packet &b) {
+                             return a.arrivalNs < b.arrivalNs;
+                         });
+        net::writePcap(pcap_out, emitted);
+        std::printf("wrote %zu forwarded packets to %s\n", emitted.size(),
+                    pcap_out.c_str());
+    }
+
+    const sim::PipeSimStats stats = multi.stats();
+    if (multi.numReplicas() == 1) {
+        const uint32_t len = flags.traffic.packetLen;
+        const sim::EndToEndResult e2e =
+            sim::summarizeEndToEnd(multi.replica(0), len ? len : 64);
+        std::printf("\nsimulated %llu packets from %llu flows:\n",
+                    static_cast<unsigned long long>(packets),
+                    static_cast<unsigned long long>(flags.traffic.numFlows));
+        std::printf("  throughput %.1f Mpps (pipeline %.1f, line rate "
+                    "%.1f)\n",
+                    e2e.throughputMpps, e2e.pipelineMpps, e2e.lineRateMpps);
+        std::printf("  latency %.0f ns end to end\n", e2e.avgLatencyNs);
+        std::printf("  flushes %llu, lost %llu\n",
+                    static_cast<unsigned long long>(e2e.flushEvents),
+                    static_cast<unsigned long long>(e2e.lostPackets));
+    } else {
+        std::printf("\nsimulated %llu packets across %zu replicas:\n",
+                    static_cast<unsigned long long>(packets),
+                    multi.numReplicas());
         std::printf("  modeled aggregate %.1f Mpps over %llu cycles\n",
-                    agg.throughputMpps(mconfig.pipe.clockHz),
-                    static_cast<unsigned long long>(agg.cycles));
+                    stats.throughputMpps(config.pipe.clockHz),
+                    static_cast<unsigned long long>(stats.cycles));
         for (size_t r = 0; r < multi.numReplicas(); ++r) {
             const sim::PipeSimStats &s = multi.replica(r).stats();
             std::printf("  queue %zu: %llu packets, %llu cycles, "
@@ -497,93 +444,24 @@ cmdSim(int argc, char **argv)
                         static_cast<unsigned long long>(s.cycles),
                         static_cast<unsigned long long>(s.flushEvents));
         }
-        if (host) {
-            host->finishAll();
-            printHostSummary(*host);
-        }
-        if (!stats_out.empty())
-            writeSimStats(stats_out, prog.name, replicas, threaded,
-                          sched_spec, multi.engineInfo(), agg,
-                          mconfig.pipe.clockHz, multi.phaseProfile(),
-                          host.get());
-        return 0;
     }
-
-    ebpf::MapSet maps(prog.maps);
-    sim::PipeSimConfig config;
-    config.inputQueueCapacity = 1u << 20;
-    config.schedMode = sched_mode;
-    config.paranoidChecks = paranoid;
-    config.profilePhases = profile_phases;
-    if (!sim::parseEngineSpec(engine_spec, config))
-        fatal("unknown engine '", engine_spec,
-              "' (interp, aot, aot-native)");
-    sim::PipeSim sim(pipe, maps, config);
-    printEngine(sim.engineInfo());
-    std::unique_ptr<host::HostDatapath> host;
-    if (host_rings) {
-        host_config.numQueues = 1;
-        host_config.clockHz = config.clockHz;
-        host = std::make_unique<host::HostDatapath>(host_config);
-        host->attach(sim);
-    }
-    if (!pcap_in.empty()) {
-        const std::vector<net::Packet> replay = net::readPcap(pcap_in);
-        packets = static_cast<int>(replay.size());
-        for (const net::Packet &pkt : replay)
-            sim.offer(pkt);
-    } else {
-        sim::TrafficGen gen(traffic);
-        for (int i = 0; i < packets; ++i)
-            sim.offer(gen.next());
-    }
-    sim.drain();
-    if (!pcap_out.empty()) {
-        // Emit forwarded packets (TX/redirect) as seen on the wire.
-        std::vector<net::Packet> emitted;
-        for (const sim::PacketOutcome &out : sim.outcomes()) {
-            if (out.action == ebpf::XdpAction::Tx ||
-                out.action == ebpf::XdpAction::Redirect) {
-                net::Packet pkt(out.bytes);
-                pkt.arrivalNs = out.exitCycle * 4;
-                emitted.push_back(std::move(pkt));
-            }
-        }
-        net::writePcap(pcap_out, emitted);
-        std::printf("wrote %zu forwarded packets to %s\n", emitted.size(),
-                    pcap_out.c_str());
-    }
-
-    uint64_t actions[5] = {};
-    for (const sim::PacketOutcome &out : sim.outcomes())
-        actions[static_cast<uint32_t>(out.action) % 5]++;
-    const sim::EndToEndResult e2e =
-        sim::summarizeEndToEnd(sim, traffic.packetLen ? traffic.packetLen
-                                                      : 64);
-    std::printf("\nsimulated %d packets from %llu flows:\n", packets,
-                static_cast<unsigned long long>(traffic.numFlows));
-    std::printf("  throughput %.1f Mpps (pipeline %.1f, line rate %.1f)\n",
-                e2e.throughputMpps, e2e.pipelineMpps, e2e.lineRateMpps);
-    std::printf("  latency %.0f ns end to end\n", e2e.avgLatencyNs);
-    std::printf("  flushes %llu, lost %llu\n",
-                static_cast<unsigned long long>(e2e.flushEvents),
-                static_cast<unsigned long long>(e2e.lostPackets));
+    // Indexed by XdpAction (aborted, drop, pass, tx, redirect).
+    const uint64_t verdicts[] = {stats.abortedPackets, stats.dropPackets,
+                                 stats.passPackets, stats.txPackets,
+                                 stats.redirectPackets};
     for (uint32_t a = 0; a < 5; ++a) {
-        if (actions[a])
+        if (verdicts[a])
             std::printf("  %s: %llu\n",
-                        ebpf::xdpActionName(
-                            static_cast<ebpf::XdpAction>(a))
+                        ebpf::xdpActionName(static_cast<ebpf::XdpAction>(a))
                             .c_str(),
-                        static_cast<unsigned long long>(actions[a]));
+                        static_cast<unsigned long long>(verdicts[a]));
     }
     if (host) {
         host->finishAll();
         printHostSummary(*host);
     }
-    if (!stats_out.empty())
-        writeSimStats(stats_out, prog.name, 1, false, sched_spec,
-                      sim.engineInfo(), sim.stats(), config.clockHz,
-                      sim.phaseProfile(), host.get());
+    if (!flags.statsOut.empty())
+        writeSimStats(flags.statsOut, prog.name, multi, host.get());
     return 0;
 }
 
@@ -600,12 +478,9 @@ usage()
         "  ehdlc disasm  <prog>\n"
         "  ehdlc verify  <prog>\n"
         "  ehdlc report  <prog>\n"
-        "  ehdlc sim     <prog> [--packets N] [--flows N] [--zipf S] [--len N]\n"
-        "                [--pcap-in f] [--pcap-out f] [--replicas N] [--threaded]\n"
-        "                [--engine interp|aot|aot-native] [--sched dense|event]\n"
-        "                [--paranoid] [--profile-phases] [--stats-out f]\n"
-        "                [--host-rings] [--ring-depth N] [--host-rate MPPS]\n"
-        "                [--coalesce COUNT[,TIMEOUT]] [--host-frac F]\n"
+        "  ehdlc sim     <prog> [--zipf S] [--len N] [--pcap-in f]\n"
+        "                [--pcap-out f] [--profile-phases] [engine flags]\n"
+        "                [run flags]\n"
         "\n"
         "<prog>: textual assembly (.s), raw bytecode (.bin), an ELF object\n"
         "built with clang -target bpf, or app:<name> for a built-in\n"
@@ -614,7 +489,12 @@ usage()
         "\n"
         "compile exits nonzero listing every diagnostic when the program\n"
         "is rejected; --report=<file> writes per-pass timings, diagnostics\n"
-        "and pipeline geometry as JSON.\n");
+        "and pipeline geometry as JSON.\n"
+        "\n"
+        "%s",
+        tools::SimFlags(tools::SimFlagGroups::EngineAndRun, kSimPackets)
+            .help()
+            .c_str());
 }
 
 }  // namespace
