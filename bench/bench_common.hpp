@@ -1,18 +1,15 @@
 /**
  * @file
- * Shared helpers for the benchmark binaries that regenerate the paper's
- * tables and figures. Each binary prints the same rows/series the paper
- * reports; see EXPERIMENTS.md for the paper-vs-measured record.
+ * Shared helpers for the benchmark binaries: CPU-time clocks for
+ * host-side rates and the five evaluation applications under their paper
+ * names.
  */
 
 #ifndef EHDL_BENCH_BENCH_COMMON_HPP_
 #define EHDL_BENCH_BENCH_COMMON_HPP_
 
-#include <atomic>
 #include <ctime>
-#include <functional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "apps/apps.hpp"
@@ -49,45 +46,6 @@ threadCpuSeconds()
            static_cast<double>(ts.tv_nsec) * 1e-9;
 }
 
-/**
- * Run @p trial (0..n-1) across a pool of worker threads and block until
- * every trial finished. Trials must be independent: each one builds its
- * own simulator and maps, and measures itself with threadCpuSeconds().
- * Trial indices are claimed from an atomic counter, so assignment order
- * is nondeterministic but every index runs exactly once.
- */
-inline void
-runTrialsParallel(unsigned n, const std::function<void(unsigned)> &trial,
-                  unsigned max_workers = 0)
-{
-    unsigned workers = std::thread::hardware_concurrency();
-    if (workers == 0)
-        workers = 1;
-    if (max_workers != 0 && workers > max_workers)
-        workers = max_workers;
-    if (workers > n)
-        workers = n;
-    if (workers <= 1) {
-        for (unsigned i = 0; i < n; ++i)
-            trial(i);
-        return;
-    }
-    std::atomic<unsigned> next{0};
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (unsigned w = 0; w < workers; ++w)
-        pool.emplace_back([&] {
-            for (;;) {
-                const unsigned i = next.fetch_add(1);
-                if (i >= n)
-                    return;
-                trial(i);
-            }
-        });
-    for (std::thread &t : pool)
-        t.join();
-}
-
 /** The five evaluation applications, keyed by their paper names. */
 struct NamedApp
 {
@@ -105,63 +63,6 @@ paperApps()
         {"DNAT", apps::makeDnat()},
         {"Suricata", apps::makeSuricataFilter()},
     };
-}
-
-/** One end-to-end pipeline measurement under generated traffic. */
-struct PipelineRun
-{
-    sim::EndToEndResult endToEnd;
-    sim::PipeSimStats stats;
-};
-
-/**
- * Compile @p spec, seed its maps, offer @p num_packets of line-rate
- * traffic from @p num_flows flows, and summarize.
- */
-inline PipelineRun
-runPipeline(const apps::AppSpec &spec, uint64_t num_flows, int num_packets,
-            uint32_t frame_len = 64, double zipf_s = 0.0, uint64_t seed = 1)
-{
-    const hdl::Pipeline pipe = hdl::compile(spec.prog);
-    ebpf::MapSet maps(spec.prog.maps);
-    spec.seedMaps(maps);
-
-    sim::TrafficConfig traffic;
-    traffic.numFlows = num_flows;
-    traffic.packetLen = frame_len;
-    traffic.zipfS = zipf_s;
-    traffic.reverseFraction = spec.reverseFraction;
-    traffic.ipProto = spec.ipProto;
-    traffic.seed = seed;
-    sim::TrafficGen gen(traffic);
-
-    sim::PipeSimConfig config;
-    config.inputQueueCapacity = 1u << 20;
-    sim::PipeSim sim(pipe, maps, config);
-    for (int i = 0; i < num_packets; ++i)
-        sim.offer(gen.next());
-    sim.drain();
-
-    PipelineRun run;
-    run.stats = sim.stats();
-    run.endToEnd = sim::summarizeEndToEnd(sim, frame_len);
-    return run;
-}
-
-/** Build a fixed workload for the processor baseline models. */
-inline std::vector<net::Packet>
-baselineWorkload(const apps::AppSpec &spec, int num_packets = 500,
-                 uint64_t num_flows = 10000)
-{
-    sim::TrafficConfig traffic;
-    traffic.numFlows = num_flows;
-    traffic.reverseFraction = spec.reverseFraction;
-    traffic.ipProto = spec.ipProto;
-    sim::TrafficGen gen(traffic);
-    std::vector<net::Packet> packets;
-    for (int i = 0; i < num_packets; ++i)
-        packets.push_back(gen.next());
-    return packets;
 }
 
 }  // namespace ehdl::bench

@@ -24,6 +24,12 @@ class TextTable
     /** Render with column alignment. */
     std::string render() const;
 
+    const std::vector<std::string> &header() const { return header_; }
+    const std::vector<std::vector<std::string>> &rows() const
+    {
+        return rows_;
+    }
+
   private:
     std::vector<std::string> header_;
     std::vector<std::vector<std::string>> rows_;

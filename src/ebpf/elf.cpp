@@ -223,7 +223,9 @@ loadElf(const std::vector<uint8_t> &bytes, const std::string &name,
             sec.type == kShtProgbits && (sec.flags & kShfExecinstr);
         if (!executable)
             continue;
-        if (!section.empty() && sec.name != section)
+        // LLVM emits an empty .text ahead of the named program section;
+        // without a name, the first section holding code is the program.
+        if (section.empty() ? sec.size == 0 : sec.name != section)
             continue;
         prog_idx = i;
         break;

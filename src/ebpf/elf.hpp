@@ -36,7 +36,7 @@ enum : uint32_t {
  * @param bytes    The object file contents.
  * @param name     Program name (defaults to the program section's name).
  * @param section  Program section to load; empty selects the first
- *                 executable section.
+ *                 non-empty executable section.
  * @throw FatalError on malformed objects or unsupported map types.
  */
 Program loadElf(const std::vector<uint8_t> &bytes,

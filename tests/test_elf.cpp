@@ -8,6 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <fstream>
+#include <iterator>
+#include <map>
 
 #include "apps/apps.hpp"
 #include "common/logging.hpp"
@@ -16,6 +19,11 @@
 #include "hdl/compiler.hpp"
 #include "net/headers.hpp"
 #include "sim/pipe_sim.hpp"
+#include "sim/traffic.hpp"
+
+#ifndef EHDL_ELF_DIR
+#error "EHDL_ELF_DIR must point at tests/elf"
+#endif
 
 namespace ehdl::ebpf {
 namespace {
@@ -137,6 +145,69 @@ TEST(Elf, MissingSectionNameFails)
     const std::vector<uint8_t> object =
         writeElf(apps::makeToyCounter().prog);
     EXPECT_THROW(loadElf(object, "", "no_such_section"), FatalError);
+}
+
+std::vector<uint8_t>
+readObject(const std::string &file)
+{
+    std::ifstream in(std::string(EHDL_ELF_DIR) + "/" + file,
+                     std::ios::binary);
+    EXPECT_TRUE(in) << file;
+    return {std::istreambuf_iterator<char>(in),
+            std::istreambuf_iterator<char>()};
+}
+
+// tests/elf/xdp_count.o comes from llvm-mc, which (like llc) emits an
+// empty .text section ahead of the xdp section. With no section name the
+// loader must skip it and take the section that holds the code.
+TEST(Elf, LlvmObjectSkipsEmptyTextSection)
+{
+    const Program prog = loadElf(readObject("xdp_count.o"));
+    EXPECT_EQ(prog.name, "xdp");
+    EXPECT_EQ(prog.size(), 11u);
+    ASSERT_EQ(prog.maps.size(), 1u);
+    EXPECT_EQ(prog.maps[0].name, "counters");
+    EXPECT_EQ(prog.maps[0].kind, MapKind::Array);
+    EXPECT_EQ(prog.maps[0].valueSize, 8u);
+}
+
+// The same object through the reference VM and both pipeline engines:
+// per-packet verdicts and the final counter agree three ways.
+TEST(Elf, LlvmObjectRunsThreeWay)
+{
+    const Program prog = loadElf(readObject("xdp_count.o"));
+    const hdl::Pipeline pipe = hdl::compile(prog);
+
+    sim::TrafficConfig traffic;
+    traffic.numFlows = 16;
+    sim::TrafficGen gen(traffic);
+    std::vector<net::Packet> packets;
+    for (int i = 0; i < 200; ++i)
+        packets.push_back(gen.next());
+
+    MapSet vm_maps(prog.maps);
+    Vm vm(prog, vm_maps);
+    std::map<uint64_t, XdpAction> expected;
+    for (const net::Packet &pkt : packets) {
+        net::Packet copy = pkt;
+        expected[pkt.id] = vm.run(copy).action;
+    }
+
+    for (const sim::SimEngine engine :
+         {sim::SimEngine::Interp, sim::SimEngine::Aot}) {
+        MapSet maps(prog.maps);
+        sim::PipeSimConfig config;
+        config.engine = engine;
+        sim::PipeSim sim(pipe, maps, config);
+        for (const net::Packet &pkt : packets)
+            sim.offer(pkt);
+        sim.drain();
+        ASSERT_EQ(sim.outcomes().size(), packets.size());
+        for (const sim::PacketOutcome &out : sim.outcomes())
+            EXPECT_EQ(static_cast<uint32_t>(out.action),
+                      static_cast<uint32_t>(expected.at(out.id)));
+        EXPECT_TRUE(MapSet::equal(vm_maps, maps));
+    }
 }
 
 }  // namespace
