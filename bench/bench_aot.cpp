@@ -9,18 +9,24 @@
  *
  * Results are mirrored into BENCH_aot.json:
  *   rows[].interp_mcyc_per_s / aot_mcyc_per_s / speedup / stats_parity
+ *   rows[].native_build_s / native_source_bytes: cold native module
+ *     build (wall seconds to construct the simulator, host compile
+ *     included, into a fresh private cache) and generated source size
  *   aot_available: the native backend loaded (false reports the reason)
  * EHDL_BENCH_QUICK=1 shrinks packet counts for the CI aot-smoke step.
  */
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "bench_json.hpp"
 #include "common/table.hpp"
+#include "sim/aot/native.hpp"
 #include "sim/pipe_sim.hpp"
 
 using namespace ehdl;
@@ -34,6 +40,8 @@ struct EngineRun
     ebpf::MapSet maps;
     sim::EngineInfo info;
     double cpuSeconds = 0;
+    /** Wall time to construct the simulator (native: the module build). */
+    double setupSeconds = 0;
 
     double
     mcycPerSec() const
@@ -42,10 +50,14 @@ struct EngineRun
     }
 };
 
-/** Saturated single-queue run of @p spec under the given engine. */
+/**
+ * Saturated single-queue run of @p spec under the given engine; native
+ * modules are built into (or loaded from) @p cache_dir.
+ */
 EngineRun
 runEngine(const apps::AppSpec &spec, const hdl::Pipeline &pipe,
-          sim::SimEngine engine, sim::AotBackend backend, int num_packets)
+          sim::SimEngine engine, sim::AotBackend backend, int num_packets,
+          const std::string &cache_dir = "")
 {
     EngineRun out;
     out.maps = ebpf::MapSet(spec.prog.maps);
@@ -62,7 +74,12 @@ runEngine(const apps::AppSpec &spec, const hdl::Pipeline &pipe,
     config.inputQueueCapacity = 1u << 22;
     config.engine = engine;
     config.aotBackend = backend;
+    config.aotCacheDir = cache_dir;
+    const auto setup_t0 = std::chrono::steady_clock::now();
     sim::PipeSim sim(pipe, out.maps, config);
+    out.setupSeconds = std::chrono::duration<double>(
+                           std::chrono::steady_clock::now() - setup_t0)
+                           .count();
     for (int i = 0; i < num_packets; ++i) {
         net::Packet pkt = gen.next();
         pkt.arrivalNs = 0;  // saturating offered load
@@ -131,7 +148,15 @@ main()
                 "(%d back-to-back 64B packets, 10k flows, single queue)%s\n\n",
                 num_packets, quick ? " [quick]" : "");
     TextTable table({"Program", "Interp Mcyc/s", "AOT Mcyc/s", "Speedup",
-                     "Native Mcyc/s", "Parity"});
+                     "Native Mcyc/s", "Native build s", "Parity"});
+
+    // A fresh private module cache, so every native row pays (and
+    // reports) the cold build a first run of the program pays.
+    std::string cache_dir = bench::benchOutputPath("aot-cache.XXXXXX");
+    if (mkdtemp(cache_dir.data()) == nullptr) {
+        std::fprintf(stderr, "cannot create %s\n", cache_dir.c_str());
+        return 1;
+    }
 
     bool aot_available = false;
     std::string native_reason;
@@ -153,7 +178,10 @@ main()
                       sim::AotBackend::Portable, num_packets);
         const EngineRun native =
             runEngine(app.spec, pipe, sim::SimEngine::Aot,
-                      sim::AotBackend::Native, num_packets);
+                      sim::AotBackend::Native, num_packets, cache_dir);
+        const size_t source_bytes =
+            sim::aot::generateNativeSource(sim::aot::buildAotSpec(pipe))
+                .size();
 
         const bool row_parity =
             parity(interp, aot) && parity(interp, native);
@@ -175,6 +203,9 @@ main()
                       native.info.nativeLoaded
                           ? fmtF(native.mcycPerSec(), 1)
                           : "n/a",
+                      native.info.nativeLoaded
+                          ? fmtF(native.setupSeconds, 2)
+                          : "n/a",
                       row_parity ? "yes" : "NO"});
 
         bench::Json row;
@@ -193,12 +224,17 @@ main()
             row.set("native_speedup",
                     bench::Json::num(
                         native.mcycPerSec() / interp.mcycPerSec(), 3));
+            row.set("native_build_s",
+                    bench::Json::num(native.setupSeconds, 3));
         }
+        row.set("native_source_bytes", bench::Json::integer(source_bytes));
         row.set("stats_parity", bench::Json::boolean(row_parity));
         rows.push(std::move(row));
     }
     std::printf("%s\n", table.render().c_str());
     json.set("rows", std::move(rows));
+    std::error_code ec;
+    std::filesystem::remove_all(cache_dir, ec);
     {
         const double interp_rate =
             static_cast<double>(agg_cycles) / agg_interp_sec / 1e6;

@@ -24,6 +24,15 @@ namespace ehdl::bench {
 
 using ehdl::Json;
 
+/** Path of @p file in $EHDL_BENCH_JSON_DIR (or the working directory). */
+inline std::string
+benchOutputPath(const std::string &file)
+{
+    const char *dir = std::getenv("EHDL_BENCH_JSON_DIR");
+    return (dir != nullptr && *dir != '\0' ? std::string(dir) + "/" : "") +
+           file;
+}
+
 /**
  * Write @p root to BENCH_<name>.json in $EHDL_BENCH_JSON_DIR (or the
  * working directory) and report where it went.
@@ -32,10 +41,7 @@ using ehdl::Json;
 inline bool
 writeBenchJson(const std::string &name, const Json &root)
 {
-    const char *dir = std::getenv("EHDL_BENCH_JSON_DIR");
-    const std::string path =
-        (dir != nullptr && *dir != '\0' ? std::string(dir) + "/" : "") +
-        "BENCH_" + name + ".json";
+    const std::string path = benchOutputPath("BENCH_" + name + ".json");
     std::FILE *f = std::fopen(path.c_str(), "w");
     if (f == nullptr) {
         std::fprintf(stderr, "cannot write %s\n", path.c_str());

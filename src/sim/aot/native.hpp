@@ -1,8 +1,9 @@
 /**
  * @file
- * Native AOT backend: renders each segment of an `AotSpec` — the
+ * Native AOT backend: renders each segment the engine can enter — the
  * pipeline's `hdl::StageOp`s over the spec's burst and checkpoint
- * boundaries — as straight-line C++ calling the primitives in
+ * boundaries, one function per entry stage — as straight-line C++
+ * calling the primitives in
  * sim/aot/runtime.hpp, compiles it with the host toolchain into a
  * shared object under a cache directory, and `dlopen`s the result.
  *
@@ -58,7 +59,7 @@ class NativeModule
     NativeModule &operator=(const NativeModule &) = delete;
 
     const NativeModuleTable &table() const { return *table_; }
-    /** Generated per-stage entry points (table().numStages entries). */
+    /** Segment entry points, indexed by stage; null off entry stages. */
     const NativeStageFn *stages() const { return table_->stages; }
     /** Path of the shared object backing this module. */
     const std::string &path() const { return path_; }

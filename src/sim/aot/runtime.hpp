@@ -126,7 +126,9 @@ opExit(AotCtx &c)
  * Signature of one generated segment function. Entry `s` of the module
  * table covers stages [s, segEnd(s)] as straight-line code; an exit op
  * returns out of the whole segment, exactly like the engine skipping
- * the remaining stages of an exited flight.
+ * the remaining stages of an exited flight. Only entry stages
+ * (AotSpec::entryStage) whose segment has ops get a function; every
+ * other entry is null.
  */
 using NativeStageFn = bool (*)(AotCtx &);
 
@@ -134,7 +136,8 @@ using NativeStageFn = bool (*)(AotCtx &);
  * The table a generated module exports through its single extern "C"
  * entry point `ehdl_aot_module`. `sourceHash` is the FNV-1a hash of the
  * generated source, which keys the on-disk cache and ties a loaded
- * module to the exact pipeline it specializes.
+ * module to the exact pipeline it specializes. `stages` is indexed by
+ * stage (`numStages` entries) and is non-null only at entry stages.
  */
 struct NativeModuleTable
 {

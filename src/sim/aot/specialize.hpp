@@ -34,7 +34,14 @@
  *     reachable from an entry, and the stage after each flush block's
  *     restart point. The engine's per-cycle sweep consults
  *     `entryStage` and skips every other slot without touching the
- *     flight record at all (`sim/pipe_sim.cpp`, stepOnce).
+ *     flight record at all (`sim/pipe_sim.cpp`, stepOnce). Entry
+ *     stages are also the only native *segment starts*: the engine
+ *     walks an entry's burst one segment (`segEnd`) at a time, and a
+ *     segment ends short of `burstEnd` only at a live elastic buffer —
+ *     a flush restart point, whose successor is itself an entry. The
+ *     native backend emits a function per entry stage only, so each
+ *     stage's ops are generated once and module size is linear in
+ *     program size.
  *
  *  4. **Checkpoint elision** — an elastic-buffer checkpoint is consumed
  *     only by a flush whose plan restarts at that buffer

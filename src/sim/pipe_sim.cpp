@@ -932,13 +932,10 @@ struct PipeSim::Impl
             prof->checkpointSec += secondsSince(t0);
     }
 
+    /** Interpreter: execute one stage (the generic sweep's only call). */
     void
     executeStage(Flight &flight, size_t stage_idx)
     {
-        if (aotActive) {
-            executeStageAot(flight, stage_idx);
-            return;
-        }
         const hdl::Stage &stage = pipe.stages[stage_idx];
         // (Stages with nothing to do are skipped by the sweep in
         // stepOnce, which inlines that fast path.)
@@ -976,6 +973,11 @@ struct PipeSim::Impl
      * the port. Traps latch the abort exactly like the interpreter;
      * later segments of the burst are skipped via `exited` while any
      * remaining live checkpoint still records the post-trap state.
+     *
+     * The entry-stage sweep in stepOnce is the only caller, so
+     * @p stage_idx is always an entry stage, and so is every stage the
+     * segment walk below lands on (sim/aot/specialize.hpp, item 3):
+     * entry stages are the complete set of native functions.
      */
     void
     executeStageAot(Flight &flight, size_t stage_idx)

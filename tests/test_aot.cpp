@@ -495,6 +495,78 @@ TEST(AotCodegen, GenerationIsDeterministic)
     }
 }
 
+TEST(AotSpec, SegmentStartsCloseOverEntryStages)
+{
+    // The engine enters native code at an entry stage and walks that
+    // entry's burst one segment at a time. The native module holds a
+    // function at entry stages only, so every stage that walk lands on
+    // must itself be an entry stage: a gap would be a null table entry
+    // where ops have to run.
+    for (const AppSpec &spec : apps::paperApps()) {
+        SCOPED_TRACE(spec.prog.name);
+        const hdl::Pipeline pipe = hdl::compile(spec.prog);
+        const aot::AotSpec aspec = aot::buildAotSpec(pipe);
+        ASSERT_EQ(aspec.entryStage.size(), pipe.numStages());
+        for (size_t e = 0; e < pipe.numStages(); ++e) {
+            if (!aspec.entryStage[e])
+                continue;
+            for (size_t k = aspec.stages[e].segEnd + 1;
+                 k <= aspec.stages[e].burstEnd;
+                 k = aspec.stages[k].segEnd + 1) {
+                EXPECT_TRUE(aspec.entryStage[k])
+                    << "burst of entry " << e << " continues at " << k;
+            }
+        }
+    }
+}
+
+TEST(AotCodegen, EachStageOpEmittedOnce)
+{
+    // Code size is linear in program size: every instruction the stage
+    // ops execute is emitted exactly once, inside the one segment
+    // function that covers its stage, and functions exist only at the
+    // entry stages whose segment has ops.
+    for (const AppSpec &spec : apps::paperApps()) {
+        SCOPED_TRACE(spec.prog.name);
+        const hdl::Pipeline pipe = hdl::compile(spec.prog);
+        const aot::AotSpec aspec = aot::buildAotSpec(pipe);
+        const std::string text = aot::generateNativeSource(aspec);
+
+        std::map<size_t, int> emitted_pcs;
+        std::vector<size_t> emitted_segs;
+        std::istringstream lines(text);
+        for (std::string line; std::getline(lines, line);) {
+            const size_t at = line.find("// pc ");
+            if (at != std::string::npos)
+                ++emitted_pcs[std::stoul(line.substr(at + 6))];
+            if (line.rfind("seg_", 0) == 0 &&
+                line.find("(AotCtx &c)") != std::string::npos)
+                emitted_segs.push_back(std::stoul(line.substr(4)));
+        }
+        std::map<size_t, int> want_pcs;
+        for (const hdl::Stage &stage : pipe.stages)
+            for (const hdl::StageOp &op : stage.ops) {
+                if (op.kind == hdl::OpKind::Branch)
+                    want_pcs[op.pcs.front()] = 1;
+                else if (op.kind != hdl::OpKind::Jump &&
+                         op.kind != hdl::OpKind::Exit)
+                    for (size_t pc : op.pcs)
+                        want_pcs[pc] = 1;
+            }
+        EXPECT_EQ(emitted_pcs, want_pcs);
+
+        std::vector<size_t> want_segs;
+        for (size_t s = 0; s < pipe.numStages(); ++s) {
+            bool any_ops = false;
+            for (size_t k = s; k <= aspec.stages[s].segEnd; ++k)
+                any_ops = any_ops || !pipe.stages[k].ops.empty();
+            if (aspec.entryStage[s] && any_ops)
+                want_segs.push_back(s);
+        }
+        EXPECT_EQ(emitted_segs, want_segs);
+    }
+}
+
 // --- control-plane hot swap under load --------------------------------
 
 ebpf::Program

@@ -20,6 +20,8 @@
  * raw bytecode file (.bin, 8-byte wire slots), an ELF relocatable
  * object (.o) produced by clang -target bpf, or app:<name> for one of
  * the built-in evaluation applications (app:firewall, app:router, ...).
+ * Every command takes `--section NAME` to load the named program section
+ * of an ELF object (default: the first non-empty executable section).
  *
  * A program the compiler rejects prints *every* verifier/classification
  * diagnostic (not just the first) and exits nonzero. --report=<file>
@@ -38,6 +40,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "apps/apps.hpp"
 #include "common/logging.hpp"
@@ -75,13 +78,23 @@ readFile(const std::string &path)
     return body.str();
 }
 
-/** Load a program from assembly, raw bytecode, an ELF object or app:. */
+/**
+ * Load a program from assembly, raw bytecode, an ELF object or app:.
+ * A non-empty @p section names the ELF program section to load.
+ */
 ebpf::Program
-loadProgram(const std::string &path)
+loadProgram(const std::string &path, const std::string &section)
 {
-    if (path.rfind("app:", 0) == 0)
+    const bool is_app = path.rfind("app:", 0) == 0;
+    const std::string body = is_app ? "" : readFile(path);
+    const bool is_elf =
+        body.size() >= 4 && std::memcmp(body.data(), "\x7f"
+                                                     "ELF",
+                                        4) == 0;
+    if (!section.empty() && !is_elf)
+        fatal("--section applies only to ELF objects, not '", path, "'");
+    if (is_app)
         return apps::appByName(path).prog;
-    const std::string body = readFile(path);
     const std::string name = [&path] {
         const size_t slash = path.find_last_of('/');
         const size_t start = slash == std::string::npos ? 0 : slash + 1;
@@ -91,11 +104,9 @@ loadProgram(const std::string &path)
                                ? std::string::npos
                                : dot - start);
     }();
-    if (body.size() >= 4 && std::memcmp(body.data(), "\x7f"
-                                                     "ELF",
-                                        4) == 0) {
+    if (is_elf) {
         return ebpf::loadElf(
-            std::vector<uint8_t>(body.begin(), body.end()), name);
+            std::vector<uint8_t>(body.begin(), body.end()), name, section);
     }
     if (path.size() > 4 && path.substr(path.size() - 4) == ".bin") {
         ebpf::Program prog;
@@ -144,7 +155,7 @@ listPasses()
 }
 
 int
-cmdCompile(int argc, char **argv)
+cmdCompile(int argc, char **argv, const std::string &section)
 {
     std::string out_path;
     std::string report_json;
@@ -193,7 +204,7 @@ cmdCompile(int argc, char **argv)
               names, ")");
     }
 
-    const ebpf::Program prog = loadProgram(input);
+    const ebpf::Program prog = loadProgram(input, section);
     hdl::PassObserver observer;
     if (!dump_after.empty()) {
         observer = [&dump_after](const std::string &pass,
@@ -256,9 +267,9 @@ cmdCompile(int argc, char **argv)
 }
 
 int
-cmdDisasm(const std::string &input)
+cmdDisasm(const std::string &input, const std::string &section)
 {
-    const ebpf::Program prog = loadProgram(input);
+    const ebpf::Program prog = loadProgram(input, section);
     for (const ebpf::MapDef &def : prog.maps)
         std::printf(".map %s %s %u %u %u\n", def.name.c_str(),
                     ebpf::mapKindName(def.kind).c_str(), def.keySize,
@@ -268,9 +279,9 @@ cmdDisasm(const std::string &input)
 }
 
 int
-cmdVerify(const std::string &input)
+cmdVerify(const std::string &input, const std::string &section)
 {
-    const ebpf::Program prog = loadProgram(input);
+    const ebpf::Program prog = loadProgram(input, section);
     const ebpf::VerifyResult vr = ebpf::verify(prog, true);
     if (vr.ok) {
         std::printf("%s: OK (%zu instructions%s)\n", prog.name.c_str(),
@@ -339,7 +350,7 @@ printHostSummary(const host::HostDatapath &host)
 constexpr uint64_t kSimPackets = 10000;
 
 int
-cmdSim(int argc, char **argv)
+cmdSim(int argc, char **argv, const std::string &section)
 {
     std::string input;
     std::string pcap_in, pcap_out;
@@ -366,7 +377,7 @@ cmdSim(int argc, char **argv)
     if (input.empty())
         fatal("sim: missing input file");
 
-    const ebpf::Program prog = loadProgram(input);
+    const ebpf::Program prog = loadProgram(input, section);
     const hdl::Pipeline pipe = hdl::compile(prog);
     printReport(pipe);
 
@@ -485,7 +496,9 @@ usage()
         "<prog>: textual assembly (.s), raw bytecode (.bin), an ELF object\n"
         "built with clang -target bpf, or app:<name> for a built-in\n"
         "evaluation program (app:firewall, app:router, app:tunnel,\n"
-        "app:dnat, app:suricata, app:toy, ...).\n"
+        "app:dnat, app:suricata, app:toy, ...). Every command takes\n"
+        "--section NAME to load that program section of an ELF object\n"
+        "(default: the first non-empty executable section).\n"
         "\n"
         "compile exits nonzero listing every diagnostic when the program\n"
         "is rejected; --report=<file> writes per-pass timings, diagnostics\n"
@@ -502,6 +515,18 @@ usage()
 int
 main(int argc, char **argv)
 {
+    // --section applies to every command's input, so it is taken out
+    // of the argument list before dispatch.
+    std::string section;
+    std::vector<char *> args;
+    for (int i = 0; i < argc; ++i) {
+        if (std::strcmp(argv[i], "--section") == 0 && i + 1 < argc)
+            section = argv[++i];
+        else
+            args.push_back(argv[i]);
+    }
+    argc = static_cast<int>(args.size());
+    argv = args.data();
     if (argc < 3) {
         usage();
         return argc < 2 ? 0 : 1;
@@ -509,17 +534,17 @@ main(int argc, char **argv)
     const std::string cmd = argv[1];
     try {
         if (cmd == "compile")
-            return cmdCompile(argc - 2, argv + 2);
+            return cmdCompile(argc - 2, argv + 2, section);
         if (cmd == "disasm")
-            return cmdDisasm(argv[2]);
+            return cmdDisasm(argv[2], section);
         if (cmd == "verify")
-            return cmdVerify(argv[2]);
+            return cmdVerify(argv[2], section);
         if (cmd == "report") {
-            printReport(hdl::compile(loadProgram(argv[2])));
+            printReport(hdl::compile(loadProgram(argv[2], section)));
             return 0;
         }
         if (cmd == "sim")
-            return cmdSim(argc - 2, argv + 2);
+            return cmdSim(argc - 2, argv + 2, section);
         usage();
         return 1;
     } catch (const std::exception &e) {
