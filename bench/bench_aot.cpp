@@ -75,11 +75,13 @@ runEngine(const apps::AppSpec &spec, const hdl::Pipeline &pipe,
     config.engine = engine;
     config.aotBackend = backend;
     config.aotCacheDir = cache_dir;
+    sim::OutcomeLog log;
     const auto setup_t0 = std::chrono::steady_clock::now();
     sim::PipeSim sim(pipe, out.maps, config);
     out.setupSeconds = std::chrono::duration<double>(
                            std::chrono::steady_clock::now() - setup_t0)
                            .count();
+    sim.attachRetireSink(&log);
     for (int i = 0; i < num_packets; ++i) {
         net::Packet pkt = gen.next();
         pkt.arrivalNs = 0;  // saturating offered load
@@ -89,7 +91,7 @@ runEngine(const apps::AppSpec &spec, const hdl::Pipeline &pipe,
     sim.drain();
     out.cpuSeconds = bench::threadCpuSeconds() - t0;
     out.stats = sim.stats();
-    out.outcomes = sim.outcomes();
+    out.outcomes = std::move(log.outcomes);
     out.info = sim.engineInfo();
     return out;
 }

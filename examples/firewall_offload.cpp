@@ -47,21 +47,13 @@ main()
         sim.offer(gen.next());
     sim.drain();
 
-    uint64_t tx = 0, drop = 0, pass = 0;
-    for (const sim::PacketOutcome &out : sim.outcomes()) {
-        switch (out.action) {
-          case ebpf::XdpAction::Tx: ++tx; break;
-          case ebpf::XdpAction::Drop: ++drop; break;
-          case ebpf::XdpAction::Pass: ++pass; break;
-          default: break;
-        }
-    }
+    const sim::PipeSimStats &stats = sim.stats();
     const sim::EndToEndResult e2e = sim::summarizeEndToEnd(sim);
     std::printf("forwarded %llu, dropped %llu (unsolicited inbound), "
                 "passed %llu\n",
-                static_cast<unsigned long long>(tx),
-                static_cast<unsigned long long>(drop),
-                static_cast<unsigned long long>(pass));
+                static_cast<unsigned long long>(stats.txPackets),
+                static_cast<unsigned long long>(stats.dropPackets),
+                static_cast<unsigned long long>(stats.passPackets));
     std::printf("throughput %.1f Mpps (line rate %.1f), latency %.0f ns, "
                 "flushes %llu\n\n",
                 e2e.throughputMpps, e2e.lineRateMpps, e2e.avgLatencyNs,

@@ -38,7 +38,9 @@ main(int argc, char **argv)
     lb.seedMaps(lb_maps);
     sim::PipeSimConfig config;
     config.inputQueueCapacity = 1u << 16;
+    sim::OutcomeLog lb_log;
     sim::PipeSim lb_sim(lb_pipe, lb_maps, config);
+    lb_sim.attachRetireSink(&lb_log);
 
     for (uint64_t i = 1; i <= 2000; ++i) {
         net::PacketSpec spec;
@@ -53,7 +55,7 @@ main(int argc, char **argv)
 
     std::map<uint32_t, uint64_t> per_backend;
     std::vector<net::Packet> toward_backends;
-    for (const sim::PacketOutcome &out : lb_sim.outcomes()) {
+    for (const sim::PacketOutcome &out : lb_log.outcomes) {
         if (out.action != ebpf::XdpAction::Tx)
             continue;
         per_backend[loadBe<uint32_t>(out.bytes.data() + 30)]++;
@@ -73,12 +75,10 @@ main(int argc, char **argv)
     for (const net::Packet &pkt : toward_backends)
         decap_sim.offer(pkt);
     decap_sim.drain();
-    uint64_t stripped = 0;
-    for (const sim::PacketOutcome &out : decap_sim.outcomes())
-        stripped += out.action == ebpf::XdpAction::Tx ? 1 : 0;
     std::printf("\nbackend decapsulated %llu packets (outer header "
                 "removed)\n",
-                static_cast<unsigned long long>(stripped));
+                static_cast<unsigned long long>(
+                    decap_sim.stats().txPackets));
 
     if (argc > 1) {
         net::writePcap(argv[1], toward_backends);

@@ -47,7 +47,9 @@ main()
     ebpf::MapSet maps(dnat.prog.maps);
     sim::PipeSimConfig config;
     config.inputQueueCapacity = 4096;
+    sim::OutcomeLog log;
     sim::PipeSim sim(pipe, maps, config);
+    sim.attachRetireSink(&log);
 
     // Three internal clients each send two packets to an external server.
     uint64_t id = 0;
@@ -63,7 +65,7 @@ main()
 
     std::printf("outbound translations (client -> wire view):\n");
     std::vector<net::FlowKey> translated;
-    for (const sim::PacketOutcome &out : sim.outcomes()) {
+    for (const sim::PacketOutcome &out : log.outcomes) {
         net::Packet pkt(out.bytes);
         net::FlowKey flow;
         net::PacketFactory::parseFlow(pkt, flow);
@@ -81,7 +83,9 @@ main()
 
     // Return traffic toward the NAT address must be de-translated.
     std::printf("\nreturn traffic:\n");
+    sim::OutcomeLog log2;
     sim::PipeSim sim2(pipe, maps, config);
+    sim2.attachRetireSink(&log2);
     for (size_t i = 0; i < clients.size(); ++i) {
         const net::FlowKey back{clients[i].dstIp, 0xc0000201u,
                                 clients[i].dstPort,
@@ -90,7 +94,7 @@ main()
         sim2.offer(makePacket(back, 100 + i));
     }
     sim2.drain();
-    for (const sim::PacketOutcome &out : sim2.outcomes()) {
+    for (const sim::PacketOutcome &out : log2.outcomes) {
         net::Packet pkt(out.bytes);
         net::FlowKey flow;
         net::PacketFactory::parseFlow(pkt, flow);

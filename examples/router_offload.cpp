@@ -55,7 +55,9 @@ main()
 
     sim::PipeSimConfig config;
     config.inputQueueCapacity = 1u << 16;
+    sim::OutcomeLog log;
     sim::PipeSim sim(pipe, maps, config);
+    sim.attachRetireSink(&log);
 
     sim::TrafficConfig traffic;
     traffic.numFlows = 2000;
@@ -71,7 +73,7 @@ main()
 
     std::map<uint32_t, uint64_t> per_if;
     uint64_t checksum_ok = 0, forwarded = 0;
-    for (const sim::PacketOutcome &out : sim.outcomes()) {
+    for (const sim::PacketOutcome &out : log.outcomes) {
         if (out.action != ebpf::XdpAction::Redirect)
             continue;
         ++forwarded;

@@ -89,6 +89,19 @@ wholeRun(const std::string &backend, const std::string &field,
     return d;
 }
 
+/** Simulator configuration of every pipeline backend. */
+sim::PipeSimConfig
+pipeConfig(const RunOptions &opts)
+{
+    sim::PipeSimConfig config;
+    config.inputQueueCapacity = opts.inputQueueCapacity;
+    config.engine = opts.engine;
+    config.aotBackend = opts.aotBackend;
+    config.schedMode = opts.schedMode;
+    config.paranoidChecks = opts.paranoidChecks;
+    return config;
+}
+
 /**
  * Fuzz-mode host datapath: a deliberately tiny ring so DMA batching,
  * coalescing, TX re-emit and FIFO backpressure all trigger on the short
@@ -153,63 +166,6 @@ replayRef(const ctl::CtlVmOutcome &o)
 }
 
 /**
- * Compare one replica's simulator outcomes and final maps against the VM
- * replay of the same packet stream + apply log. @p mine is the replica's
- * packet stream in offer order; returns the first divergence.
- */
-std::optional<Divergence>
-compareCtlReplica(const std::string &backend, const FuzzCase &c,
-                  const std::vector<net::Packet> &mine,
-                  const ctl::CtlRunReport &report, unsigned replica,
-                  const std::vector<sim::PacketOutcome> &outcomes,
-                  const ebpf::MapSet &dev_maps, uint64_t *vm_insns)
-{
-    ebpf::MapSet vm_maps(c.prog.maps);
-    const ctl::CtlVmReplayResult replay = ctl::replayScheduleOnVm(
-        c.prog, {}, mine, report, replica, vm_maps);
-
-    if (outcomes.size() != mine.size())
-        return wholeRun(backend, "completion",
-                        std::to_string(outcomes.size()) + " of " +
-                            std::to_string(mine.size()) +
-                            " packets completed");
-    // The pipeline retires in offer order, so outcomes align with the
-    // replay positionally.
-    for (size_t i = 0; i < mine.size(); ++i) {
-        const ctl::CtlVmOutcome &ref = replay.outcomes[i];
-        const sim::PacketOutcome &out = outcomes[i];
-        if (vm_insns != nullptr)
-            *vm_insns += ref.insnsExecuted;
-        if (out.id != ref.id)
-            return wholeRun(backend, "completion",
-                            "retirement order: packet " +
-                                std::to_string(out.id) + " where " +
-                                std::to_string(ref.id) + " expected");
-        if (auto d = comparePacket(backend, ref.id, replayRef(ref),
-                                   out.action, out.trapped,
-                                   out.redirectIfindex, out.bytes))
-            return d;
-    }
-    for (size_t t = 0; t < report.txns.size(); ++t) {
-        if (report.txns[t].results[replica] != replay.txnResults[t]) {
-            Divergence d = wholeRun(
-                backend, "ctl-op",
-                "txn " + std::to_string(t) + " (" +
-                    ctl::ctlOpKindName(report.txns[t].txn.kind) +
-                    ") device and VM host-op results differ");
-            return d;
-        }
-    }
-    if (!ebpf::MapSet::equal(vm_maps, dev_maps)) {
-        return wholeRun(backend, "maps",
-                        "final map state differs\nvm:\n" +
-                            vm_maps.dump().substr(0, 400) + "\ndevice:\n" +
-                            dev_maps.dump().substr(0, 400));
-    }
-    return std::nullopt;
-}
-
-/**
  * The control-plane variant of the executor: the compiled pipeline runs
  * under PipeSim and a sharded MultiPipeSim with the case's ctl schedule
  * interleaved, each differentially checked against the VM replay of its
@@ -223,20 +179,16 @@ runCtlBackends(const FuzzCase &c, const RunOptions &opts,
     // Backend: single pipeline.
     {
         ebpf::MapSet pipe_maps(c.prog.maps);
-        sim::PipeSimConfig sim_config;
-        sim_config.inputQueueCapacity = opts.inputQueueCapacity;
-        sim_config.engine = opts.engine;
-        sim_config.aotBackend = opts.aotBackend;
-        sim_config.schedMode = opts.schedMode;
-        sim_config.paranoidChecks = opts.paranoidChecks;
         try {
-            sim::PipeSim sim(pipe, pipe_maps, sim_config);
+            sim::OutcomeLog log;
+            sim::PipeSim sim(pipe, pipe_maps, pipeConfig(opts));
             std::unique_ptr<host::HostDatapath> host;
             if (opts.hostModel) {
                 host = std::make_unique<host::HostDatapath>(
                     fuzzHostConfig(opts, 1));
                 host->attach(sim);
             }
+            sim.attachRetireSink(&log);
             for (const net::Packet &pkt : packets)
                 sim.offer(pkt);
             ctl::CtlController ctrl(sim, pipe_maps, opts.ctlChannel);
@@ -245,9 +197,10 @@ runCtlBackends(const FuzzCase &c, const RunOptions &opts,
             result.flushEvents = sim.stats().flushEvents;
             result.pipeStats = sim.stats();
             result.engineInfo = sim.engineInfo();
-            if (auto d = compareCtlReplica("pipeline", c, packets, report,
-                                           0, sim.outcomes(), pipe_maps,
-                                           &result.vmInsns)) {
+            if (auto d = compareCtlReplica(
+                    "pipeline", c.prog, {}, ebpf::MapSet(c.prog.maps),
+                    packets, report, 0, log.outcomes, pipe_maps,
+                    &result.vmInsns)) {
                 result.divergence = std::move(d);
                 return;
             }
@@ -272,12 +225,9 @@ runCtlBackends(const FuzzCase &c, const RunOptions &opts,
         sim::MultiPipeSimConfig mc;
         mc.numReplicas = opts.ctlReplicas;
         mc.mapMode = sim::MapMode::Sharded;
-        mc.pipe.inputQueueCapacity = opts.inputQueueCapacity;
-        mc.pipe.engine = opts.engine;
-        mc.pipe.aotBackend = opts.aotBackend;
-        mc.pipe.schedMode = opts.schedMode;
-        mc.pipe.paranoidChecks = opts.paranoidChecks;
+        mc.pipe = pipeConfig(opts);
         try {
+            std::vector<sim::OutcomeLog> logs(mc.numReplicas);
             sim::MultiPipeSim multi(pipe, seed_maps, mc);
             std::unique_ptr<host::HostDatapath> host;
             if (opts.hostModel) {
@@ -285,6 +235,8 @@ runCtlBackends(const FuzzCase &c, const RunOptions &opts,
                     fuzzHostConfig(opts, mc.numReplicas));
                 host->attach(multi);
             }
+            for (unsigned r = 0; r < mc.numReplicas; ++r)
+                multi.replica(r).attachRetireSink(&logs[r]);
             std::vector<std::vector<net::Packet>> streams(mc.numReplicas);
             for (const net::Packet &pkt : packets)
                 streams[multi.dispatch(pkt)].push_back(pkt);
@@ -295,9 +247,9 @@ runCtlBackends(const FuzzCase &c, const RunOptions &opts,
             multi.drain();
             for (unsigned r = 0; r < mc.numReplicas; ++r) {
                 if (auto d = compareCtlReplica(
-                        "multi", c, streams[r], report, r,
-                        multi.replica(r).outcomes(), multi.replicaMaps(r),
-                        nullptr)) {
+                        "multi", c.prog, {}, ebpf::MapSet(c.prog.maps),
+                        streams[r], report, r, logs[r].outcomes,
+                        multi.replicaMaps(r))) {
                     result.divergence = std::move(d);
                     return;
                 }
@@ -332,6 +284,54 @@ Divergence::describe() const
     if (!detail.empty())
         os << ": " << detail;
     return os.str();
+}
+
+std::optional<Divergence>
+compareCtlReplica(const std::string &backend, const ebpf::Program &prog,
+                  const std::map<std::string, const ebpf::Program *> &programs,
+                  ebpf::MapSet vm_maps, const std::vector<net::Packet> &mine,
+                  const ctl::CtlRunReport &report, unsigned replica,
+                  const std::vector<sim::PacketOutcome> &outcomes,
+                  const ebpf::MapSet &dev_maps, uint64_t *vm_insns)
+{
+    const ctl::CtlVmReplayResult replay = ctl::replayScheduleOnVm(
+        prog, programs, mine, report, replica, vm_maps);
+
+    if (outcomes.size() != mine.size())
+        return wholeRun(backend, "completion",
+                        std::to_string(outcomes.size()) + " of " +
+                            std::to_string(mine.size()) +
+                            " packets completed");
+    // The pipeline retires in offer order, so outcomes align with the
+    // replay positionally.
+    for (size_t i = 0; i < mine.size(); ++i) {
+        const ctl::CtlVmOutcome &ref = replay.outcomes[i];
+        const sim::PacketOutcome &out = outcomes[i];
+        if (vm_insns != nullptr)
+            *vm_insns += ref.insnsExecuted;
+        if (out.id != ref.id)
+            return wholeRun(backend, "completion",
+                            "retirement order: packet " +
+                                std::to_string(out.id) + " where " +
+                                std::to_string(ref.id) + " expected");
+        if (auto d = comparePacket(backend, ref.id, replayRef(ref),
+                                   out.action, out.trapped,
+                                   out.redirectIfindex, out.bytes))
+            return d;
+    }
+    for (size_t t = 0; t < report.txns.size(); ++t) {
+        if (report.txns[t].results[replica] != replay.txnResults[t])
+            return wholeRun(backend, "ctl-op",
+                            "txn " + std::to_string(t) + " (" +
+                                ctl::ctlOpKindName(report.txns[t].txn.kind) +
+                                ") device and VM host-op results differ");
+    }
+    if (!ebpf::MapSet::equal(vm_maps, dev_maps))
+        return wholeRun(backend, "maps",
+                        "final map state differs\nvm:\n" +
+                            vm_maps.dump().substr(0, 400) + "\ndevice:\n" +
+                            dev_maps.dump().substr(0, 400));
+    return std::nullopt;
 }
 
 CaseResult
@@ -424,20 +424,16 @@ runCase(const FuzzCase &c, const RunOptions &opts)
     result.numStages = pipe.numStages();
 
     ebpf::MapSet pipe_maps(c.prog.maps);
-    sim::PipeSimConfig sim_config;
-    sim_config.inputQueueCapacity = opts.inputQueueCapacity;
-    sim_config.engine = opts.engine;
-    sim_config.aotBackend = opts.aotBackend;
-    sim_config.schedMode = opts.schedMode;
-    sim_config.paranoidChecks = opts.paranoidChecks;
     try {
-        sim::PipeSim sim(pipe, pipe_maps, sim_config);
+        sim::OutcomeLog log;
+        sim::PipeSim sim(pipe, pipe_maps, pipeConfig(opts));
         std::unique_ptr<host::HostDatapath> host;
         if (opts.hostModel) {
             host = std::make_unique<host::HostDatapath>(
                 fuzzHostConfig(opts, 1));
             host->attach(sim);
         }
+        sim.attachRetireSink(&log);
         for (const net::Packet &pkt : packets)
             sim.offer(pkt);
         sim.drain();
@@ -453,15 +449,15 @@ runCase(const FuzzCase &c, const RunOptions &opts)
         result.pipeStats = sim.stats();
         result.engineInfo = sim.engineInfo();
 
-        if (sim.outcomes().size() != packets.size()) {
+        if (log.outcomes.size() != packets.size()) {
             result.divergence = wholeRun(
                 "pipeline", "completion",
-                std::to_string(sim.outcomes().size()) + " of " +
+                std::to_string(log.outcomes.size()) + " of " +
                     std::to_string(packets.size()) + " packets completed");
             return result;
         }
         std::map<uint64_t, const sim::PacketOutcome *> by_id;
-        for (const sim::PacketOutcome &out : sim.outcomes())
+        for (const sim::PacketOutcome &out : log.outcomes)
             by_id[out.id] = &out;
         for (const net::Packet &pkt : packets) {
             const auto it = by_id.find(pkt.id);

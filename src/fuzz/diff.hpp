@@ -24,10 +24,13 @@
 #define EHDL_FUZZ_DIFF_HPP_
 
 #include <cstdint>
+#include <map>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "ctl/channel.hpp"
+#include "ctl/controller.hpp"
 #include "fuzz/case.hpp"
 #include "sim/pipe_sim.hpp"
 
@@ -133,6 +136,20 @@ struct RunOptions
  * with field "panic" rather than propagated.
  */
 CaseResult runCase(const FuzzCase &c, const RunOptions &opts = {});
+
+/**
+ * Compare one replica's retirements (@p outcomes) and final maps against
+ * the VM replay (ctl::replayScheduleOnVm) of its packet stream @p mine
+ * and the ctl apply log, starting from @p vm_maps. Returns the first
+ * divergence; adds the VM's executed instructions to @p vm_insns.
+ */
+std::optional<Divergence> compareCtlReplica(
+    const std::string &backend, const ebpf::Program &prog,
+    const std::map<std::string, const ebpf::Program *> &programs,
+    ebpf::MapSet vm_maps, const std::vector<net::Packet> &mine,
+    const ctl::CtlRunReport &report, unsigned replica,
+    const std::vector<sim::PacketOutcome> &outcomes,
+    const ebpf::MapSet &dev_maps, uint64_t *vm_insns = nullptr);
 
 }  // namespace ehdl::fuzz
 

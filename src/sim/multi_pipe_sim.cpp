@@ -160,17 +160,4 @@ MultiPipeSim::phaseProfile() const
     return agg;
 }
 
-std::vector<PacketOutcome>
-MultiPipeSim::outcomes() const
-{
-    std::vector<PacketOutcome> all;
-    for (const auto &r : replicas_)
-        all.insert(all.end(), r->outcomes().begin(), r->outcomes().end());
-    std::stable_sort(all.begin(), all.end(),
-                     [](const PacketOutcome &a, const PacketOutcome &b) {
-                         return a.id < b.id;
-                     });
-    return all;
-}
-
 }  // namespace ehdl::sim

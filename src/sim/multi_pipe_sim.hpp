@@ -131,9 +131,6 @@ class MultiPipeSim
      */
     PipeSimPhaseProfile phaseProfile() const;
 
-    /** All replicas' outcomes merged and sorted by packet id. */
-    std::vector<PacketOutcome> outcomes() const;
-
     const MultiPipeSimConfig &config() const { return config_; }
 
     /**

@@ -1353,7 +1353,7 @@ struct PipeSim::Impl
         if (nStages != 0 && slotAt(nStages - 1)) {
             Flight &f = *slotAt(nStages - 1);
             // A packet that never reached an exit op aborts.
-            PacketOutcome out;
+            PacketOutcome &out = retired;
             out.id = f.id;
             out.action = f.exited ? f.action : XdpAction::Aborted;
             out.redirectIfindex = f.redirectIfindex;
@@ -1362,18 +1362,17 @@ struct PipeSim::Impl
             out.entryCycle = f.entryCycle;
             out.exitCycle = sim.stats_.cycles;
             f.pkt.bytesInto(out.bytes);
-            sim.outcomes_.push_back(std::move(out));
             sim.stats_.completed++;
-            switch (sim.outcomes_.back().action) {
+            sim.latencyCycles_ += out.exitCycle - out.entryCycle + 1;
+            switch (out.action) {
             case XdpAction::Pass: sim.stats_.passPackets++; break;
             case XdpAction::Drop: sim.stats_.dropPackets++; break;
             case XdpAction::Tx: sim.stats_.txPackets++; break;
             case XdpAction::Redirect: sim.stats_.redirectPackets++; break;
             case XdpAction::Aborted: sim.stats_.abortedPackets++; break;
             }
-            if (sim.retireSink_ != nullptr)
-                sim.retireSink_->onRetire(sim.stats_.cycles,
-                                          sim.outcomes_.back());
+            for (RetireSink *sink : sim.sinks_)
+                sink->onRetire(sim.stats_.cycles, out);
             // Orphan any pending writes (should have committed already).
             if (!f.warArena.empty())
                 panic("pending WAR write outlived its writer");
@@ -1560,6 +1559,8 @@ struct PipeSim::Impl
     Flight *cur = nullptr;
     unsigned reloadStall = 0;
     double cycleNs = 4.0;
+    /** The retiring packet's outcome, refilled (buffer reused) per retire. */
+    PacketOutcome retired;
     size_t entryBlock = 0;
     uint64_t nextSeq = 0;
     /** Control plane: injection held while quiescing (src/ctl). */
@@ -1603,7 +1604,6 @@ PipeSim::drain()
     const uint64_t budget =
         stats_.cycles + 1000000ULL +
         2000ULL * (stats_.accepted + impl_->pipe.numStages());
-    outcomes_.reserve(stats_.accepted);
     while (!impl_->idle()) {
         impl_->stepOnce();
         if (stats_.cycles > budget)
@@ -1675,10 +1675,10 @@ PipeSim::swapPipeline(const Pipeline &next)
                   ") changes shape; live map carry-over requires identical "
                   "kind/keySize/valueSize/maxEntries");
     }
-    // The maps, statistics, and outcomes live outside Impl and survive the
-    // rebuild; queued packets have executed nothing, so their raw frames
-    // move into the new program's input queue unchanged (and keep their
-    // offered/accepted accounting — re-admission is not a new arrival).
+    // The maps, statistics, latency sum and sinks live outside Impl and
+    // survive the rebuild; queued packets have executed nothing, so their
+    // raw frames move into the new program's input queue unchanged (and
+    // keep their offered/accepted accounting — re-admission is not new).
     MapSet &maps = impl_->maps;
     const bool hold = impl_->injectHold;
     const uint64_t ff_limit = impl_->ffLimit;
@@ -1702,13 +1702,10 @@ PipeSim::phaseProfile() const
 double
 PipeSim::avgLatencyNs() const
 {
-    if (outcomes_.empty())
+    if (stats_.completed == 0)
         return 0.0;
-    double total = 0;
-    for (const PacketOutcome &out : outcomes_)
-        total += static_cast<double>(out.exitCycle - out.entryCycle + 1) *
-                 impl_->cycleNs;
-    return total / static_cast<double>(outcomes_.size());
+    return static_cast<double>(latencyCycles_) * impl_->cycleNs /
+           static_cast<double>(stats_.completed);
 }
 
 }  // namespace ehdl::sim

@@ -156,21 +156,6 @@ bool parseEngineSpec(const std::string &spec, PipeSimConfig &config);
  */
 bool parseSchedSpec(const std::string &spec, SchedMode &mode);
 
-/**
- * Observer of the retirement stream. The NIC-shell/host side (src/host)
- * implements this to see each packet the instant it leaves the last
- * stage. The sink is strictly an observer of (cycle, outcome): it cannot
- * stall the pipeline or alter any contracted counter, so attaching one
- * never perturbs the bit-identical engine/sched contract. Retirements
- * arrive in order, at most one per simulated cycle.
- */
-class RetireSink
-{
-  public:
-    virtual ~RetireSink() = default;
-    virtual void onRetire(uint64_t cycle, const struct PacketOutcome &out) = 0;
-};
-
 /** Result of one packet's traversal. */
 struct PacketOutcome
 {
@@ -182,6 +167,38 @@ struct PacketOutcome
     uint64_t entryCycle = 0;
     uint64_t exitCycle = 0;
     std::vector<uint8_t> bytes;  ///< final packet contents
+};
+
+/**
+ * Observer of the retirement stream, the only way a packet leaves the
+ * simulator (which, like the hardware, keeps no record of it). A sink
+ * cannot stall the pipeline or alter any contracted counter, so
+ * attaching one never perturbs the bit-identical engine/sched contract.
+ * Retirements arrive in order, at most one per simulated cycle, each
+ * handed to every attached sink in attach order; the outcome reference
+ * is valid only during the call.
+ */
+class RetireSink
+{
+  public:
+    virtual ~RetireSink() = default;
+    virtual void onRetire(uint64_t cycle, const PacketOutcome &out) = 0;
+};
+
+/** The recorder: a copy of every retirement, in retire order. */
+struct OutcomeLog final : RetireSink
+{
+    OutcomeLog() = default;
+    OutcomeLog(const OutcomeLog &) = delete;  // attached by address
+    OutcomeLog &operator=(const OutcomeLog &) = delete;
+
+    std::vector<PacketOutcome> outcomes;
+
+    void
+    onRetire(uint64_t, const PacketOutcome &out) override
+    {
+        outcomes.push_back(out);
+    }
 };
 
 /** Aggregate counters. */
@@ -275,9 +292,9 @@ class PipeSim
     // ------------------------------------------------------------------
     // Host control-plane hooks (src/ctl). The controller steps the
     // simulator cycle by cycle and uses these to realize packet-boundary
-    // quiescence: injection is held, in-flight packets drain into
-    // outcomes, queued arrivals wait unharmed, and host-side map writes
-    // or a program swap apply against an empty pipeline.
+    // quiescence: injection is held, in-flight packets retire through
+    // the attached sinks, queued arrivals wait unharmed, and host-side
+    // map writes or a program swap apply against an empty pipeline.
     // ------------------------------------------------------------------
 
     /**
@@ -313,11 +330,11 @@ class PipeSim
     /**
      * Replace the compiled pipeline under the running simulator with
      * @p next, carrying over map contents (same MapSet), statistics,
-     * outcomes, and every queued input packet. The pipeline must be
-     * empty (pipelineEmpty()) — the control plane drains in-flight
-     * packets first — and @p next must declare maps identical in shape
-     * to the current program's (the control plane checks before
-     * submitting). @p next must outlive the simulator.
+     * attached retire sinks, and every queued input packet. The pipeline
+     * must be empty (pipelineEmpty()) — the control plane drains
+     * in-flight packets first — and @p next must declare maps identical
+     * in shape to the current program's (the control plane checks
+     * before submitting). @p next must outlive the simulator.
      */
     void swapPipeline(const hdl::Pipeline &next);
 
@@ -325,13 +342,12 @@ class PipeSim
     const hdl::Pipeline &pipeline() const;
 
     /**
-     * Attach a retirement observer (nullptr detaches). The sink survives
-     * swapPipeline. It must outlive the simulator or be detached first.
+     * Attach a retirement observer after those already attached (see
+     * RetireSink for the call contract). Sinks survive swapPipeline and
+     * must outlive the simulator.
      */
-    void attachRetireSink(RetireSink *sink) { retireSink_ = sink; }
-    RetireSink *retireSink() const { return retireSink_; }
+    void attachRetireSink(RetireSink *sink) { sinks_.push_back(sink); }
 
-    const std::vector<PacketOutcome> &outcomes() const { return outcomes_; }
     const PipeSimStats &stats() const { return stats_; }
     const PipeSimConfig &config() const { return config_; }
 
@@ -355,9 +371,10 @@ class PipeSim
     std::unique_ptr<Impl> impl_;
     PipeSimConfig config_;
     EngineInfo engineInfo_;
-    std::vector<PacketOutcome> outcomes_;
     PipeSimStats stats_;
-    RetireSink *retireSink_ = nullptr;
+    /** Sum of exitCycle - entryCycle + 1 over retired packets. */
+    uint64_t latencyCycles_ = 0;
+    std::vector<RetireSink *> sinks_;
 };
 
 }  // namespace ehdl::sim

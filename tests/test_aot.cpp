@@ -32,6 +32,7 @@
 #include "ebpf/maps.hpp"
 #include "ebpf/vm.hpp"
 #include "hdl/compiler.hpp"
+#include "replica_logs.hpp"
 #include "sim/aot/native.hpp"
 #include "sim/aot/specialize.hpp"
 #include "sim/multi_pipe_sim.hpp"
@@ -102,12 +103,14 @@ runSingle(const AppSpec &spec, const hdl::Pipeline &pipe,
     config.inputQueueCapacity = 1u << 20;
     config.engine = engine;
     config.aotBackend = backend;
+    OutcomeLog log;
     PipeSim sim(pipe, out.maps, config);
+    sim.attachRetireSink(&log);
     for (const net::Packet &pkt : packets)
         sim.offer(pkt);
     sim.drain();
     out.stats = sim.stats();
-    out.outcomes = sim.outcomes();
+    out.outcomes = std::move(log.outcomes);
     out.info = sim.engineInfo();
     return out;
 }
@@ -275,12 +278,13 @@ runMulti(const AppSpec &spec, const hdl::Pipeline &pipe,
     mc.pipe.inputQueueCapacity = 1u << 20;
     mc.pipe.engine = engine;
     MultiPipeSim multi(pipe, seed, mc);
+    ReplicaLogs logs(multi);
     for (const net::Packet &pkt : packets)
         multi.offer(pkt);
     multi.drain();
     MultiRun out;
     out.stats = multi.stats();
-    out.outcomes = multi.outcomes();
+    out.outcomes = logs.mergedById();
     out.info = multi.engineInfo();
     const size_t shards =
         map_mode == MapMode::Sharded ? multi.numReplicas() : 1;
@@ -608,7 +612,9 @@ runSwapUnderLoad(SimEngine engine)
     PipeSimConfig sc;
     sc.inputQueueCapacity = 1u << 20;
     sc.engine = engine;
+    OutcomeLog log;
     PipeSim sim(pipe_a, maps, sc);
+    sim.attachRetireSink(&log);
     const uint64_t n = 500;
     for (uint64_t i = 1; i <= n; ++i)
         EXPECT_TRUE(sim.offer(swapPacket(i)));
@@ -629,7 +635,7 @@ runSwapUnderLoad(SimEngine engine)
 
     SwapRun out;
     out.stats = sim.stats();
-    out.outcomes = sim.outcomes();
+    out.outcomes = std::move(log.outcomes);
     out.boundary = report.txns[0].retiredBefore[0];
     out.info = sim.engineInfo();
     return out;
@@ -672,7 +678,9 @@ TEST(AotCtl, SeededAppSwapMatchesInterp)
         PipeSimConfig sc;
         sc.inputQueueCapacity = 1u << 20;
         sc.engine = engine;
+        OutcomeLog log;
         PipeSim sim(pipe, maps, sc);
+        sim.attachRetireSink(&log);
         for (const net::Packet &pkt : packets)
             EXPECT_TRUE(sim.offer(pkt));
         ctl::CtlChannelConfig cc;
@@ -690,7 +698,7 @@ TEST(AotCtl, SeededAppSwapMatchesInterp)
         EngineRun out;
         out.maps = std::move(maps);
         out.stats = sim.stats();
-        out.outcomes = sim.outcomes();
+        out.outcomes = std::move(log.outcomes);
         out.info = sim.engineInfo();
         return out;
     };

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <tuple>
 
 #include "apps/apps.hpp"
 #include "common/bitops.hpp"
@@ -19,6 +20,7 @@
 #include "ebpf/builder.hpp"
 #include "ebpf/helpers.hpp"
 #include "hdl/compiler.hpp"
+#include "replica_logs.hpp"
 #include "sim/multi_pipe_sim.hpp"
 #include "sim/traffic.hpp"
 
@@ -256,7 +258,9 @@ TEST(CtlController, PacketsNeverObserveTornUpdates)
 
     sim::PipeSimConfig sc;
     sc.inputQueueCapacity = 1u << 20;
+    sim::OutcomeLog log;
     sim::PipeSim sim(pipe, maps, sc);
+    sim.attachRetireSink(&log);
     const uint64_t n = 600;
     for (uint64_t i = 1; i <= n; ++i)
         ASSERT_TRUE(sim.offer(defaultPacket(i)));
@@ -284,7 +288,7 @@ TEST(CtlController, PacketsNeverObserveTornUpdates)
         EXPECT_LT(rec.retiredBefore[0], n);
     }
     // PASS means the halves matched; one DROP is one torn observation.
-    for (const sim::PacketOutcome &out : sim.outcomes())
+    for (const sim::PacketOutcome &out : log.outcomes)
         EXPECT_EQ(out.action, XdpAction::Pass)
             << "packet " << out.id << " observed a torn update";
 }
@@ -300,7 +304,9 @@ TEST(CtlController, UpdateAppliesAtPacketBoundary)
 
     sim::PipeSimConfig sc;
     sc.inputQueueCapacity = 1u << 20;
+    sim::OutcomeLog log;
     sim::PipeSim sim(pipe, maps, sc);
+    sim.attachRetireSink(&log);
     std::vector<net::Packet> packets;
     for (uint64_t i = 1; i <= 400; ++i)
         packets.push_back(defaultPacket(i));
@@ -322,7 +328,7 @@ TEST(CtlController, UpdateAppliesAtPacketBoundary)
     const uint64_t boundary = report.txns[0].retiredBefore[0];
     ASSERT_GT(boundary, 0u);
     ASSERT_LT(boundary, 400u);
-    const auto outcomes = sim.outcomes();
+    const auto &outcomes = log.outcomes;
     ASSERT_EQ(outcomes.size(), 400u);
     for (size_t i = 0; i < outcomes.size(); ++i)
         EXPECT_EQ(outcomes[i].action,
@@ -456,7 +462,9 @@ TEST(CtlController, SwapUnderLoadLosesNoPackets)
     MapSet maps(prog_a.maps);
     sim::PipeSimConfig sc;
     sc.inputQueueCapacity = 1u << 20;
+    sim::OutcomeLog log;
     sim::PipeSim sim(pipe_a, maps, sc);
+    sim.attachRetireSink(&log);
     const uint64_t n = 500;
     for (uint64_t i = 1; i <= n; ++i)
         ASSERT_TRUE(sim.offer(defaultPacket(i)));
@@ -481,7 +489,7 @@ TEST(CtlController, SwapUnderLoadLosesNoPackets)
     const uint64_t boundary = report.txns[0].retiredBefore[0];
     ASSERT_GT(boundary, 0u);
     ASSERT_LT(boundary, n);
-    const auto outcomes = sim.outcomes();
+    const auto &outcomes = log.outcomes;
     ASSERT_EQ(outcomes.size(), n);
     for (size_t i = 0; i < outcomes.size(); ++i)
         EXPECT_EQ(outcomes[i].action,
@@ -501,6 +509,47 @@ TEST(CtlController, SwapUnderLoadLosesNoPackets)
         EXPECT_EQ(replay.outcomes[i].action, outcomes[i].action);
 }
 
+TEST(CtlController, SwapKeepsAverageLatencyOverWholeRun)
+{
+    // The latency sum lives outside the per-program state swapPipeline
+    // rebuilds, so the average still covers packets of both programs.
+    const ebpf::Program prog_a = makeConstProgram("always_tx", 3);
+    const ebpf::Program prog_b = makeConstProgram("always_drop", 1);
+    const hdl::Pipeline pipe_a = hdl::compile(prog_a);
+    const hdl::Pipeline pipe_b = hdl::compile(prog_b);
+    MapSet maps(prog_a.maps);
+    sim::PipeSimConfig sc;
+    sc.inputQueueCapacity = 1u << 20;
+    sim::OutcomeLog log;
+    sim::PipeSim sim(pipe_a, maps, sc);
+    sim.attachRetireSink(&log);
+    for (uint64_t i = 1; i <= 500; ++i)
+        ASSERT_TRUE(sim.offer(defaultPacket(i)));
+    CtlChannelConfig cc;
+    cc.roundTripCycles = 10;
+    CtlSchedule sched;
+    CtlTxn swap;
+    swap.cycle = 200;
+    swap.kind = CtlOpKind::SwapProgram;
+    swap.program = "b";
+    sched.txns.push_back(swap);
+    CtlController ctrl(sim, maps, cc);
+    ctrl.addProgram("b", pipe_b);
+    const CtlRunReport report = ctrl.run(sched);
+    sim.drain();
+
+    const uint64_t boundary = report.txns[0].retiredBefore[0];
+    ASSERT_GT(boundary, 0u);
+    ASSERT_LT(boundary, 500u);
+    ASSERT_EQ(log.outcomes.size(), 500u);
+    double total_ns = 0;
+    for (const sim::PacketOutcome &out : log.outcomes)
+        total_ns += static_cast<double>(out.exitCycle - out.entryCycle + 1) *
+                    4.0;
+    EXPECT_DOUBLE_EQ(sim.avgLatencyNs(),
+                     total_ns / static_cast<double>(log.outcomes.size()));
+}
+
 TEST(CtlController, SwapCarriesMapContentsOver)
 {
     // Both programs read cfg; the swap must keep the host-installed
@@ -513,7 +562,9 @@ TEST(CtlController, SwapCarriesMapContentsOver)
 
     sim::PipeSimConfig sc;
     sc.inputQueueCapacity = 1u << 20;
+    sim::OutcomeLog log;
     sim::PipeSim sim(pipe_a, maps, sc);
+    sim.attachRetireSink(&log);
     for (uint64_t i = 1; i <= 100; ++i)
         ASSERT_TRUE(sim.offer(defaultPacket(i)));
     CtlSchedule sched;
@@ -527,7 +578,7 @@ TEST(CtlController, SwapCarriesMapContentsOver)
     ctrl.run(sched);
     sim.drain();
     EXPECT_EQ(sim.stats().completed, 100u);
-    for (const sim::PacketOutcome &out : sim.outcomes())
+    for (const sim::PacketOutcome &out : log.outcomes)
         EXPECT_EQ(out.action, XdpAction::Pass);
     const auto v = maps.byName("cfg")->hostLookup(key32(0));
     ASSERT_TRUE(v.has_value());
@@ -670,6 +721,7 @@ TEST(CtlMulti, SharedModeAppliesOnce)
     mc.mapMode = sim::MapMode::Shared;
     mc.pipe.inputQueueCapacity = 1u << 20;
     sim::MultiPipeSim multi(pipe, shared, mc);
+    sim::ReplicaLogs logs(multi);
     offerTraffic(multi, 200);
 
     CtlSchedule sched;
@@ -685,7 +737,7 @@ TEST(CtlMulti, SharedModeAppliesOnce)
     const auto v = shared.byName("cfg")->hostLookup(key32(0));
     ASSERT_TRUE(v.has_value());
     // No packet may have seen a torn write in either replica.
-    for (const sim::PacketOutcome &out : multi.outcomes())
+    for (const sim::PacketOutcome &out : logs.mergedById())
         EXPECT_EQ(out.action, XdpAction::Pass);
 }
 
@@ -710,17 +762,18 @@ TEST(CtlMulti, ThreadedMatchesSequentialSharded)
         mc.pipe.inputQueueCapacity = 1u << 20;
         auto multi =
             std::make_unique<sim::MultiPipeSim>(pipe, seed, mc);
+        sim::ReplicaLogs logs(*multi);
         offerTraffic(*multi, 300);
         CtlChannelConfig cc;
         cc.roundTripCycles = 10;
         CtlController ctrl(*multi, cc);
         const CtlRunReport report = ctrl.run(sched);
         multi->drain();
-        return std::make_pair(std::move(multi), report);
+        return std::make_tuple(std::move(multi), report, logs.mergedById());
     };
 
-    auto [seq, seq_report] = runMode(false);
-    auto [thr, thr_report] = runMode(true);
+    auto [seq, seq_report, a] = runMode(false);
+    auto [thr, thr_report, b] = runMode(true);
 
     // Threaded execution is observationally identical to sequential:
     // same per-replica apply boundaries, results and final map state.
@@ -735,8 +788,6 @@ TEST(CtlMulti, ThreadedMatchesSequentialSharded)
     for (unsigned r = 0; r < 3; ++r)
         EXPECT_TRUE(MapSet::equal(seq->replicaMaps(r),
                                   thr->replicaMaps(r)));
-    const auto a = seq->outcomes();
-    const auto b = thr->outcomes();
     ASSERT_EQ(a.size(), b.size());
     for (size_t i = 0; i < a.size(); ++i) {
         EXPECT_EQ(a[i].id, b[i].id);
@@ -777,7 +828,9 @@ TEST(CtlDifferential, EveryAppAgreesWithVmReplayUnderSchedule)
 
         sim::PipeSimConfig sc;
         sc.inputQueueCapacity = 1u << 20;
+        sim::OutcomeLog log;
         sim::PipeSim sim(pipe, maps, sc);
+        sim.attachRetireSink(&log);
         for (const net::Packet &pkt : packets)
             ASSERT_TRUE(sim.offer(pkt));
 
@@ -813,7 +866,7 @@ TEST(CtlDifferential, EveryAppAgreesWithVmReplayUnderSchedule)
         spec.seedMaps(vm_maps);
         const CtlVmReplayResult replay = replayScheduleOnVm(
             spec.prog, {}, packets, report, 0, vm_maps);
-        const auto outcomes = sim.outcomes();
+        const auto &outcomes = log.outcomes;
         ASSERT_EQ(outcomes.size(), replay.outcomes.size());
         for (size_t i = 0; i < outcomes.size(); ++i) {
             ASSERT_EQ(outcomes[i].id, replay.outcomes[i].id);

@@ -87,12 +87,14 @@ runOnce(const apps::AppSpec &spec, const hdl::Pipeline &pipe,
     out.maps = MapSet(spec.prog.maps);
     spec.seedMaps(out.maps);
     config.inputQueueCapacity = 1u << 18;
+    OutcomeLog log;
     PipeSim sim(pipe, out.maps, config);
+    sim.attachRetireSink(&log);
     for (const net::Packet &pkt : packets)
         sim.offer(pkt);
     sim.drain();
     out.stats = sim.stats();
-    out.outcomes = sim.outcomes();
+    out.outcomes = std::move(log.outcomes);
     return out;
 }
 

@@ -63,14 +63,16 @@ runDifferential(const AppSpec &spec, uint64_t num_flows, int num_packets,
 
     sim::PipeSimConfig sim_config;
     sim_config.inputQueueCapacity = 1u << 20;
+    sim::OutcomeLog log;
     sim::PipeSim sim(pipe, pipe_maps, sim_config);
+    sim.attachRetireSink(&log);
     for (const net::Packet &pkt : packets)
         sim.offer(pkt);
     sim.drain();
     EXPECT_EQ(sim.stats().completed, static_cast<uint64_t>(num_packets));
 
     std::map<uint64_t, const sim::PacketOutcome *> by_id;
-    for (const sim::PacketOutcome &out : sim.outcomes())
+    for (const sim::PacketOutcome &out : log.outcomes)
         by_id[out.id] = &out;
 
     Vm vm(spec.prog, vm_maps);
@@ -259,7 +261,9 @@ TEST_P(RandomProgramTest, PipelineMatchesVm)
 
     sim::PipeSimConfig config;
     config.inputQueueCapacity = 4096;
+    sim::OutcomeLog log;
     sim::PipeSim sim(pipe, pipe_maps, config);
+    sim.attachRetireSink(&log);
     Vm vm(prog, vm_maps);
 
     net::PacketSpec spec;
@@ -269,11 +273,11 @@ TEST_P(RandomProgramTest, PipelineMatchesVm)
         sim.offer(pkt);
     }
     sim.drain();
-    ASSERT_EQ(sim.outcomes().size(), 32u);
+    ASSERT_EQ(log.outcomes.size(), 32u);
     net::Packet ref_pkt = net::PacketFactory::build(spec);
     ref_pkt.id = 1;
     const ebpf::ExecResult ref = vm.run(ref_pkt);
-    for (const sim::PacketOutcome &out : sim.outcomes()) {
+    for (const sim::PacketOutcome &out : log.outcomes) {
         EXPECT_EQ(static_cast<uint32_t>(out.action),
                   static_cast<uint32_t>(ref.action))
             << "seed " << GetParam();
@@ -397,14 +401,16 @@ TEST_P(RandomMapProgramTest, HazardMachineryPreservesSequentialSemantics)
 
     sim::PipeSimConfig sim_config;
     sim_config.inputQueueCapacity = 1u << 16;
+    sim::OutcomeLog log;
     sim::PipeSim sim(pipe, pipe_maps, sim_config);
+    sim.attachRetireSink(&log);
     for (const net::Packet &pkt : packets)
         sim.offer(pkt);
     sim.drain();
 
     Vm vm(prog, vm_maps);
     std::map<uint64_t, const sim::PacketOutcome *> by_id;
-    for (const sim::PacketOutcome &out : sim.outcomes())
+    for (const sim::PacketOutcome &out : log.outcomes)
         by_id[out.id] = &out;
     for (const net::Packet &pkt : packets) {
         net::Packet copy = pkt;

@@ -198,12 +198,14 @@ TEST(Elf, LlvmObjectRunsThreeWay)
         MapSet maps(prog.maps);
         sim::PipeSimConfig config;
         config.engine = engine;
+        sim::OutcomeLog log;
         sim::PipeSim sim(pipe, maps, config);
+        sim.attachRetireSink(&log);
         for (const net::Packet &pkt : packets)
             sim.offer(pkt);
         sim.drain();
-        ASSERT_EQ(sim.outcomes().size(), packets.size());
-        for (const sim::PacketOutcome &out : sim.outcomes())
+        ASSERT_EQ(log.outcomes.size(), packets.size());
+        for (const sim::PacketOutcome &out : log.outcomes)
             EXPECT_EQ(static_cast<uint32_t>(out.action),
                       static_cast<uint32_t>(expected.at(out.id)));
         EXPECT_TRUE(MapSet::equal(vm_maps, maps));

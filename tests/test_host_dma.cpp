@@ -89,11 +89,13 @@ makeTrace(const sim::TrafficConfig &tc, int num_packets)
 }
 
 /** Run @p packets through the firewall under one engine/sched combo with
- *  a host datapath attached; returns (pipe stats, host counters). */
+ *  a host datapath and, after it, an outcome recorder attached; returns
+ *  (pipe stats, host counters, recorded retirements). */
 struct SingleRun
 {
     sim::PipeSimStats stats;
     HostQueueCounters host;
+    std::vector<PacketOutcome> outcomes;
 };
 
 SingleRun
@@ -110,14 +112,16 @@ runSingle(const std::vector<net::Packet> &packets, const EngineCombo &combo,
     EXPECT_TRUE(sim::parseEngineSpec(combo.engine, sc));
     sc.schedMode = combo.sched;
 
-    PipeSim sim(pipe, maps, sc);
     HostDatapath host(hc);
+    sim::OutcomeLog log;
+    PipeSim sim(pipe, maps, sc);
     host.attach(sim);
+    sim.attachRetireSink(&log);
     for (const net::Packet &pkt : packets)
         sim.offer(pkt);
     sim.drain();
     host.finishAll();
-    return {sim.stats(), host.queue(0).counters()};
+    return {sim.stats(), host.queue(0).counters(), std::move(log.outcomes)};
 }
 
 // --- Queue mechanics --------------------------------------------------
@@ -252,12 +256,15 @@ TEST(HostContract, BitIdenticalAcrossEnginesAndScheds)
     spec.seedMaps(maps);
     PipeSimConfig sc;
     sc.inputQueueCapacity = 1u << 20;
+    sim::OutcomeLog bare_log;
     PipeSim bare(pipe, maps, sc);
+    bare.attachRetireSink(&bare_log);
     for (const net::Packet &pkt : packets)
         bare.offer(pkt);
     bare.drain();
     const sim::PipeSimStats base = bare.stats();
     ASSERT_GT(base.passPackets, 0u);
+    ASSERT_EQ(bare_log.outcomes.size(), packets.size());
 
     const SingleRun first = runSingle(packets, kCombos[0], hc);
     for (const EngineCombo &combo : kCombos) {
@@ -278,6 +285,17 @@ TEST(HostContract, BitIdenticalAcrossEnginesAndScheds)
         EXPECT_EQ(run.host.shellDrops, 0u);
         EXPECT_EQ(run.host.enqueued, base.passPackets);
         EXPECT_EQ(run.host.consumed, base.passPackets);
+        // A recorder attached after the host queue sees the same stream
+        // as the recorder on the bare run.
+        ASSERT_EQ(run.outcomes.size(), bare_log.outcomes.size());
+        for (size_t i = 0; i < run.outcomes.size(); ++i) {
+            const PacketOutcome &got = run.outcomes[i];
+            const PacketOutcome &want = bare_log.outcomes[i];
+            EXPECT_EQ(got.id, want.id);
+            EXPECT_EQ(got.action, want.action);
+            EXPECT_EQ(got.bytes, want.bytes);
+            EXPECT_EQ(got.exitCycle, want.exitCycle);
+        }
     }
 }
 

@@ -16,6 +16,7 @@
 #include "ebpf/vm.hpp"
 #include "hdl/compiler.hpp"
 #include "net/headers.hpp"
+#include "replica_logs.hpp"
 #include "sim/multi_pipe_sim.hpp"
 #include "sim/traffic.hpp"
 
@@ -28,6 +29,7 @@ using sim::MapMode;
 using sim::MultiPipeSim;
 using sim::MultiPipeSimConfig;
 using sim::PacketOutcome;
+using sim::ReplicaLogs;
 
 std::vector<net::Packet>
 makeTrace(const AppSpec &spec, uint64_t num_flows, int num_packets,
@@ -157,6 +159,7 @@ checkSharedEquivalence(const AppSpec &spec, uint64_t flows, int npkts,
     MapSet multi_maps(spec.prog.maps);
     spec.seedMaps(multi_maps);
     MultiPipeSim multi(pipe, multi_maps, bigQueues(4, MapMode::Shared));
+    ReplicaLogs logs(multi);
     for (const net::Packet &pkt : packets)
         ASSERT_TRUE(multi.offer(pkt));
     multi.drain();
@@ -166,7 +169,9 @@ checkSharedEquivalence(const AppSpec &spec, uint64_t flows, int npkts,
     spec.seedMaps(single_maps);
     sim::PipeSimConfig single_config;
     single_config.inputQueueCapacity = 1u << 20;
+    sim::OutcomeLog single_log;
     sim::PipeSim single(pipe, single_maps, single_config);
+    single.attachRetireSink(&single_log);
     for (const net::Packet &pkt : packets)
         ASSERT_TRUE(single.offer(pkt));
     single.drain();
@@ -176,10 +181,10 @@ checkSharedEquivalence(const AppSpec &spec, uint64_t flows, int npkts,
     ebpf::Vm vm(spec.prog, vm_maps);
 
     std::map<uint64_t, const PacketOutcome *> single_by_id;
-    for (const PacketOutcome &out : single.outcomes())
+    for (const PacketOutcome &out : single_log.outcomes)
         single_by_id[out.id] = &out;
 
-    const auto merged = multi.outcomes();
+    const auto merged = logs.mergedById();
     ASSERT_EQ(merged.size(), packets.size());
     int mismatches = 0;
     for (size_t i = 0; i < packets.size(); ++i) {
@@ -220,6 +225,7 @@ TEST(MultiPipeSimEquivalence, FirewallShardedOutcomes)
     MapSet seed_maps(spec.prog.maps);
     spec.seedMaps(seed_maps);
     MultiPipeSim multi(pipe, seed_maps, bigQueues(4, MapMode::Sharded));
+    ReplicaLogs logs(multi);
     for (const net::Packet &pkt : packets)
         ASSERT_TRUE(multi.offer(pkt));
     multi.drain();
@@ -228,7 +234,7 @@ TEST(MultiPipeSimEquivalence, FirewallShardedOutcomes)
     spec.seedMaps(vm_maps);
     ebpf::Vm vm(spec.prog, vm_maps);
 
-    const auto merged = multi.outcomes();
+    const auto merged = logs.mergedById();
     ASSERT_EQ(merged.size(), packets.size());
     int mismatches = 0;
     for (size_t i = 0; i < packets.size(); ++i) {
@@ -259,10 +265,11 @@ TEST(MultiPipeSimDeterminism, ThreadedRunsAreIdentical)
         spec.seedMaps(maps);
         MultiPipeSim multi(pipe, maps,
                            bigQueues(4, MapMode::Sharded, true));
+        ReplicaLogs logs(multi);
         for (const net::Packet &pkt : packets)
             ASSERT_TRUE(multi.offer(pkt));
         multi.drain();
-        outcomes = multi.outcomes();
+        outcomes = logs.mergedById();
         stats = multi.stats();
     };
 
@@ -296,10 +303,11 @@ TEST(MultiPipeSimDeterminism, ThreadedMatchesLockstep)
         spec.seedMaps(maps);
         MultiPipeSim multi(pipe, maps,
                            bigQueues(4, MapMode::Sharded, threaded));
+        ReplicaLogs logs(multi);
         for (const net::Packet &pkt : packets)
             EXPECT_TRUE(multi.offer(pkt));
         multi.drain();
-        return multi.outcomes();
+        return logs.mergedById();
     };
 
     const auto threaded = run(true);

@@ -44,11 +44,13 @@ TEST(PipeSim, SinglePacketLatencyEqualsStages)
 {
     const hdl::Pipeline pipe = hdl::compile(apps::makeToyCounter().prog);
     MapSet maps(pipe.prog.maps);
+    OutcomeLog log;
     PipeSim sim(pipe, maps, bigQueue());
+    sim.attachRetireSink(&log);
     ASSERT_TRUE(sim.offer(defaultPacket(1)));
     sim.drain();
-    ASSERT_EQ(sim.outcomes().size(), 1u);
-    const PacketOutcome &out = sim.outcomes()[0];
+    ASSERT_EQ(log.outcomes.size(), 1u);
+    const PacketOutcome &out = log.outcomes[0];
     EXPECT_EQ(out.action, XdpAction::Tx);
     // Latency = number of stages (one cycle each).
     EXPECT_EQ(out.exitCycle - out.entryCycle, pipe.numStages());
@@ -76,18 +78,57 @@ TEST(PipeSim, RetirementOrderPreservesArrivalOrder)
 {
     const hdl::Pipeline pipe = hdl::compile(apps::makeLeakyBucket().prog);
     MapSet maps(pipe.prog.maps);
+    OutcomeLog log;
     PipeSim sim(pipe, maps, bigQueue());
+    sim.attachRetireSink(&log);
     TrafficConfig tc;
     tc.numFlows = 3;  // heavy collisions -> many flushes
     TrafficGen gen(tc);
     for (int i = 0; i < 300; ++i)
         sim.offer(gen.next());
     sim.drain();
-    ASSERT_EQ(sim.outcomes().size(), 300u);
+    ASSERT_EQ(log.outcomes.size(), 300u);
     // Flush replay must never let a younger packet overtake an older one.
-    for (size_t i = 1; i < sim.outcomes().size(); ++i)
-        EXPECT_LT(sim.outcomes()[i - 1].id, sim.outcomes()[i].id);
+    for (size_t i = 1; i < log.outcomes.size(); ++i)
+        EXPECT_LT(log.outcomes[i - 1].id, log.outcomes[i].id);
     EXPECT_GT(sim.stats().flushEvents, 0u);
+}
+
+TEST(PipeSim, AvgLatencyMatchesOutcomeLogMean)
+{
+    // The streaming latency sum must agree with the mean over a recorded
+    // stream, under every engine and sched mode, on a flush-heavy run.
+    const hdl::Pipeline pipe = hdl::compile(apps::makeLeakyBucket().prog);
+    for (const SimEngine engine : {SimEngine::Interp, SimEngine::Aot}) {
+        for (const SchedMode mode :
+             {SchedMode::Dense, SchedMode::EventDriven}) {
+            MapSet maps(pipe.prog.maps);
+            PipeSimConfig config = bigQueue();
+            config.engine = engine;
+            config.schedMode = mode;
+            OutcomeLog log;
+            PipeSim sim(pipe, maps, config);
+            sim.attachRetireSink(&log);
+            TrafficConfig tc;
+            tc.numFlows = 3;
+            TrafficGen gen(tc);
+            for (int i = 0; i < 300; ++i)
+                sim.offer(gen.next());
+            sim.drain();
+            ASSERT_EQ(log.outcomes.size(), 300u);
+            ASSERT_GT(sim.stats().flushEvents, 0u);
+            double total_ns = 0;
+            for (const PacketOutcome &out : log.outcomes)
+                total_ns += static_cast<double>(out.exitCycle -
+                                                out.entryCycle + 1) *
+                            4.0;
+            EXPECT_DOUBLE_EQ(sim.avgLatencyNs(),
+                             total_ns /
+                                 static_cast<double>(log.outcomes.size()))
+                << "engine " << static_cast<int>(engine) << " sched "
+                << static_cast<int>(mode);
+        }
+    }
 }
 
 TEST(PipeSim, InputQueueOverflowCountsLosses)
@@ -147,13 +188,15 @@ TEST(PipeSim, ArrivalTimesGateInjection)
 {
     const hdl::Pipeline pipe = hdl::compile(apps::makeToyCounter().prog);
     MapSet maps(pipe.prog.maps);
+    OutcomeLog log;
     PipeSim sim(pipe, maps, bigQueue());
+    sim.attachRetireSink(&log);
     // Second packet arrives 400 ns (100 cycles) after the first.
     sim.offer(defaultPacket(1, 0));
     sim.offer(defaultPacket(2, 400));
     sim.drain();
-    ASSERT_EQ(sim.outcomes().size(), 2u);
-    EXPECT_GE(sim.outcomes()[1].entryCycle, 100u);
+    ASSERT_EQ(log.outcomes.size(), 2u);
+    EXPECT_GE(log.outcomes[1].entryCycle, 100u);
 }
 
 TEST(PipeSim, PredicationMatchesControlFlow)
@@ -162,14 +205,16 @@ TEST(PipeSim, PredicationMatchesControlFlow)
     const hdl::Pipeline pipe =
         hdl::compile(apps::makeSimpleFirewall().prog);
     MapSet maps(pipe.prog.maps);
+    OutcomeLog log;
     PipeSim sim(pipe, maps, bigQueue());
+    sim.attachRetireSink(&log);
     net::PacketSpec arp;
     arp.etherType = net::kEthPArp;
     net::Packet pkt = net::PacketFactory::build(arp);
     pkt.id = 1;
     sim.offer(pkt);
     sim.drain();
-    EXPECT_EQ(sim.outcomes()[0].action, XdpAction::Pass);
+    EXPECT_EQ(log.outcomes[0].action, XdpAction::Pass);
 }
 
 TEST(PipeSim, FlushEventsCountedAndResolved)
@@ -231,10 +276,12 @@ TEST(PipeSim, WarForwardingReadsOwnWrite)
                       loadLe<uint32_t>(probe.data() + 26));
     maps.at(0).hostUpdate(key, std::vector<uint8_t>(8, 0));
 
+    OutcomeLog log;
     PipeSim sim(pipe, maps, bigQueue());
+    sim.attachRetireSink(&log);
     sim.offer(defaultPacket(2));
     sim.drain();
-    EXPECT_EQ(sim.outcomes()[0].action, XdpAction::Pass);
+    EXPECT_EQ(log.outcomes[0].action, XdpAction::Pass);
 }
 
 TEST(PipeSim, ElasticBufferAvoidsAtomicReplay)
@@ -270,25 +317,29 @@ TEST(PipeSim, TrappingPacketAborts)
     )");
     const hdl::Pipeline pipe = hdl::compile(prog);
     MapSet maps(pipe.prog.maps);
+    OutcomeLog log;
     PipeSim sim(pipe, maps, bigQueue());
+    sim.attachRetireSink(&log);
     net::Packet tiny(std::vector<uint8_t>(20, 0));
     tiny.id = 1;
     sim.offer(tiny);
     sim.drain();
-    EXPECT_EQ(sim.outcomes()[0].action, XdpAction::Aborted);
-    EXPECT_TRUE(sim.outcomes()[0].trapped);
+    EXPECT_EQ(log.outcomes[0].action, XdpAction::Aborted);
+    EXPECT_TRUE(log.outcomes[0].trapped);
 }
 
 TEST(PipeSim, StepByStepMatchesDrain)
 {
     const hdl::Pipeline pipe = hdl::compile(apps::makeToyCounter().prog);
     MapSet maps(pipe.prog.maps);
+    OutcomeLog log;
     PipeSim sim(pipe, maps, bigQueue());
+    sim.attachRetireSink(&log);
     sim.offer(defaultPacket(1));
-    for (int i = 0; i < 200 && sim.outcomes().empty(); ++i)
+    for (int i = 0; i < 200 && log.outcomes.empty(); ++i)
         sim.step();
-    ASSERT_EQ(sim.outcomes().size(), 1u);
-    EXPECT_EQ(sim.outcomes()[0].action, XdpAction::Tx);
+    ASSERT_EQ(log.outcomes.size(), 1u);
+    EXPECT_EQ(log.outcomes[0].action, XdpAction::Tx);
 }
 
 TEST(PipeSim, RejectsEmptyPipeline)
@@ -320,15 +371,17 @@ TEST(PipeSim, IdleGapsFastForwardWithExactCycleAccounting)
     // final cycle count is dominated by the last arrival's timestamp.
     const hdl::Pipeline pipe = hdl::compile(apps::makeToyCounter().prog);
     MapSet maps(pipe.prog.maps);
+    OutcomeLog log;
     PipeSim sim(pipe, maps, bigQueue());
+    sim.attachRetireSink(&log);
     const int n = 100;
     for (int i = 0; i < n; ++i)
         ASSERT_TRUE(sim.offer(defaultPacket(i + 1, i * 1000ULL)));
     sim.drain();
-    ASSERT_EQ(sim.outcomes().size(), static_cast<size_t>(n));
+    ASSERT_EQ(log.outcomes.size(), static_cast<size_t>(n));
     // Each packet enters no earlier than its arrival time allows...
     for (int i = 0; i < n; ++i)
-        EXPECT_GE(sim.outcomes()[i].entryCycle, i * 250u);
+        EXPECT_GE(log.outcomes[i].entryCycle, i * 250u);
     // ...and the run ends within one pipeline depth of the last arrival.
     EXPECT_GE(sim.stats().cycles, (n - 1) * 250u);
     EXPECT_LE(sim.stats().cycles, (n - 1) * 250u + pipe.numStages() + 8);
@@ -351,7 +404,9 @@ TEST(PipeSim, ReusedSimulatorMatchesFreshAcrossDrains)
 
     MapSet burst_maps(spec.prog.maps);
     spec.seedMaps(burst_maps);
+    OutcomeLog burst_log;
     PipeSim burst(pipe, burst_maps, bigQueue());
+    burst.attachRetireSink(&burst_log);
     for (size_t i = 0; i < packets.size(); ++i) {
         ASSERT_TRUE(burst.offer(packets[i]));
         if (i % 50 == 49)
@@ -361,16 +416,18 @@ TEST(PipeSim, ReusedSimulatorMatchesFreshAcrossDrains)
 
     MapSet once_maps(spec.prog.maps);
     spec.seedMaps(once_maps);
+    OutcomeLog once_log;
     PipeSim once(pipe, once_maps, bigQueue());
+    once.attachRetireSink(&once_log);
     for (const net::Packet &pkt : packets)
         ASSERT_TRUE(once.offer(pkt));
     once.drain();
 
-    ASSERT_EQ(burst.outcomes().size(), once.outcomes().size());
-    for (size_t i = 0; i < once.outcomes().size(); ++i) {
-        EXPECT_EQ(burst.outcomes()[i].id, once.outcomes()[i].id);
-        EXPECT_EQ(burst.outcomes()[i].action, once.outcomes()[i].action);
-        EXPECT_EQ(burst.outcomes()[i].bytes, once.outcomes()[i].bytes);
+    ASSERT_EQ(burst_log.outcomes.size(), once_log.outcomes.size());
+    for (size_t i = 0; i < once_log.outcomes.size(); ++i) {
+        EXPECT_EQ(burst_log.outcomes[i].id, once_log.outcomes[i].id);
+        EXPECT_EQ(burst_log.outcomes[i].action, once_log.outcomes[i].action);
+        EXPECT_EQ(burst_log.outcomes[i].bytes, once_log.outcomes[i].bytes);
     }
     EXPECT_TRUE(MapSet::equal(burst_maps, once_maps));
 }

@@ -16,11 +16,11 @@
  * injects a periodic stats_read every N cycles on top of the schedule,
  * which costs the datapath nothing (stats reads are side-band).
  *
- * `--verify` replays the recorded apply log against the sequential
- * reference VM (ctl::replayScheduleOnVm) and cross-checks per-packet
- * verdicts, host op results, and final map state; it is available for the
- * single-pipeline and sharded multi-queue backends (shared-map mode has no
- * global sequential packet order to replay).
+ * `--verify` replays the recorded apply log on the reference VM and
+ * compares verdicts, host op results and final map state with the
+ * fuzzer's fuzz::compareCtlReplica, exiting 1 on the first divergence;
+ * it is available for the single-pipeline and sharded multi-queue
+ * backends (shared-map mode has no global sequential packet order).
  */
 
 #include <algorithm>
@@ -40,7 +40,7 @@
 #include "common/logging.hpp"
 #include "common/parse_num.hpp"
 #include "ctl/controller.hpp"
-#include "ebpf/vm.hpp"
+#include "fuzz/diff.hpp"
 #include "hdl/compiler.hpp"
 #include "host/host_dma.hpp"
 #include "sim/multi_pipe_sim.hpp"
@@ -189,45 +189,6 @@ addStatsPolling(ctl::CtlSchedule &sched, uint64_t period, uint64_t end)
                      });
 }
 
-/** Cross-check one replica's stream against the VM replay of the log. */
-void
-verifyReplica(const ebpf::Program &prog,
-              const std::map<std::string, const ebpf::Program *> &programs,
-              const std::vector<net::Packet> &stream,
-              const ctl::CtlRunReport &report, unsigned replica,
-              ebpf::MapSet &vm_maps, const sim::PipeSim &sim,
-              const ebpf::MapSet &dev_maps)
-{
-    const ctl::CtlVmReplayResult replay = ctl::replayScheduleOnVm(
-        prog, programs, stream, report, replica, vm_maps);
-    const std::vector<sim::PacketOutcome> outcomes = sim.outcomes();
-    if (outcomes.size() != replay.outcomes.size())
-        fatal("verify: replica ", replica, " completed ", outcomes.size(),
-              " packets, VM replay produced ", replay.outcomes.size());
-    for (size_t i = 0; i < outcomes.size(); ++i) {
-        const sim::PacketOutcome &dev = outcomes[i];
-        const ctl::CtlVmOutcome &ref = replay.outcomes[i];
-        if (dev.id != ref.id)
-            fatal("verify: replica ", replica, " retire order differs at ",
-                  i, " (pipeline packet ", dev.id, ", vm packet ", ref.id,
-                  ")");
-        if (dev.action != ref.action || dev.trapped != ref.trapped ||
-            dev.redirectIfindex != ref.redirectIfindex ||
-            dev.bytes != ref.bytes)
-            fatal("verify: replica ", replica, " diverges on packet ",
-                  dev.id);
-    }
-    for (size_t t = 0; t < report.txns.size(); ++t) {
-        const auto &dev_results = report.txns[t].results;
-        if (replica < dev_results.size() &&
-            dev_results[replica] != replay.txnResults[t])
-            fatal("verify: replica ", replica,
-                  " host-op results differ on transaction ", t);
-    }
-    if (!ebpf::MapSet::equal(dev_maps, vm_maps))
-        fatal("verify: replica ", replica, " final map state differs");
-}
-
 int
 run(int argc, char **argv)
 {
@@ -331,12 +292,15 @@ run(int argc, char **argv)
     for (const auto &[label, s] : swap_specs)
         vm_programs.emplace(label, &s.prog);
 
-    // One MultiPipeSim for every replica count.
+    // One MultiPipeSim for every replica count (--verify logs retirements).
     ebpf::MapSet seed(spec.prog.maps);
     spec.seedMaps(seed);
+    std::vector<sim::OutcomeLog> logs(opt.verify ? config.numReplicas : 0);
     sim::MultiPipeSim multi(pipe, seed, config);
     const std::unique_ptr<host::HostDatapath> host =
         opt.flags.attachHost(multi);
+    for (size_t r = 0; r < logs.size(); ++r)
+        multi.replica(r).attachRetireSink(&logs[r]);
     for (const net::Packet &pkt : packets)
         multi.offer(pkt);
     ctl::CtlController ctrl(multi, opt.channel);
@@ -354,8 +318,13 @@ run(int argc, char **argv)
         for (unsigned r = 0; r < multi.numReplicas(); ++r) {
             ebpf::MapSet vm_maps(spec.prog.maps);
             spec.seedMaps(vm_maps);
-            verifyReplica(spec.prog, vm_programs, streams[r], report, r,
-                          vm_maps, multi.replica(r), multi.replicaMaps(r));
+            if (const auto d = fuzz::compareCtlReplica(
+                    "replica " + std::to_string(r), spec.prog, vm_programs,
+                    std::move(vm_maps), streams[r], report, r,
+                    logs[r].outcomes, multi.replicaMaps(r))) {
+                std::cerr << "verify: " << d->describe() << "\n";
+                return 1;
+            }
         }
     }
 

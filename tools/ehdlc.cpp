@@ -385,7 +385,12 @@ cmdSim(int argc, char **argv, const std::string &section)
     // RSS dispatch, each with its own map shard.
     ebpf::MapSet maps(prog.maps);
     const sim::MultiPipeSimConfig config = flags.runConfig();
+    // --pcap-out: one log per replica (threaded replicas retire apart).
+    std::vector<sim::OutcomeLog> logs(pcap_out.empty() ? 0
+                                                       : config.numReplicas);
     sim::MultiPipeSim multi(pipe, maps, config);
+    for (size_t r = 0; r < logs.size(); ++r)
+        multi.replica(r).attachRetireSink(&logs[r]);
     const sim::EngineInfo &engine = multi.engineInfo();
     std::printf("engine: %s\n", engine.describe().c_str());
     if (!engine.fallbackReason.empty())
@@ -407,18 +412,24 @@ cmdSim(int argc, char **argv, const std::string &section)
     if (!pcap_out.empty()) {
         // Emit forwarded packets (TX/redirect) as seen on the wire.
         std::vector<net::Packet> emitted;
-        for (const sim::PacketOutcome &out : multi.outcomes()) {
-            if (out.action == ebpf::XdpAction::Tx ||
-                out.action == ebpf::XdpAction::Redirect) {
-                net::Packet pkt(out.bytes);
-                pkt.arrivalNs = out.exitCycle * 4;
-                emitted.push_back(std::move(pkt));
+        for (const sim::OutcomeLog &log : logs) {
+            for (const sim::PacketOutcome &out : log.outcomes) {
+                if (out.action == ebpf::XdpAction::Tx ||
+                    out.action == ebpf::XdpAction::Redirect) {
+                    net::Packet pkt(out.bytes);
+                    pkt.id = out.id;
+                    pkt.arrivalNs = out.exitCycle * 4;
+                    emitted.push_back(std::move(pkt));
+                }
             }
         }
-        // Replicas retire concurrently: order the capture by wire time.
+        // Replicas retire concurrently: order the capture by wire time,
+        // then packet id.
         std::stable_sort(emitted.begin(), emitted.end(),
                          [](const net::Packet &a, const net::Packet &b) {
-                             return a.arrivalNs < b.arrivalNs;
+                             return a.arrivalNs != b.arrivalNs
+                                        ? a.arrivalNs < b.arrivalNs
+                                        : a.id < b.id;
                          });
         net::writePcap(pcap_out, emitted);
         std::printf("wrote %zu forwarded packets to %s\n", emitted.size(),
