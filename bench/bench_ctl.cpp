@@ -33,6 +33,7 @@ namespace {
 using namespace ehdl;
 
 constexpr uint64_t kClockHz = 250'000'000;
+constexpr double kCycleNs = 1e9 / static_cast<double>(kClockHz);
 
 struct RateResult
 {
@@ -97,11 +98,13 @@ runRate(const apps::AppSpec &spec, const hdl::Pipeline &pipe,
     sim::TrafficGen gen(tc);
 
     sim::PipeSimConfig sc;
+    sc.clockHz = kClockHz;
     sc.inputQueueCapacity = 1u << 20;
     sim::PipeSim sim(pipe, maps, sc);
     for (int i = 0; i < num_packets; ++i)
         sim.offer(gen.next());
-    const uint64_t end_cycle = gen.nowNs() / 4 + 2000;
+    const uint64_t end_cycle =
+        static_cast<uint64_t>(gen.nowNs() / kCycleNs) + 2000;
 
     ctl::CtlSchedule sched;
     Rng rng(updates_per_sec + 1);
@@ -159,7 +162,7 @@ main()
                 "applied", "Mpps", "degr%", "p50(us)", "p90(us)",
                 "p99(us)");
     const auto us = [](uint64_t cycles) {
-        return static_cast<double>(cycles) * 4.0 / 1000.0;
+        return static_cast<double>(cycles) * kCycleNs / 1000.0;
     };
     for (const RateResult &r : results)
         std::printf("%12llu %8u %10.3f %8.3f %10.2f %10.2f %10.2f\n",

@@ -69,7 +69,6 @@ runRate(const apps::AppSpec &spec, const hdl::Pipeline &pipe,
 
     sim::MultiPipeSimConfig mc;
     mc.numReplicas = kQueues;
-    mc.mapMode = sim::MapMode::Sharded;
     mc.pipe.inputQueueCapacity = 1u << 20;
     sim::MultiPipeSim multi(pipe, maps, mc);
 

@@ -171,7 +171,6 @@ fig9aThroughput(const std::vector<PaperApp> &paper, Json &sections)
             sim::TrafficGen gen = appTraffic(app.spec, 10000);
             sim::MultiPipeSimConfig config;
             config.numReplicas = replicas;
-            config.mapMode = sim::MapMode::Sharded;
             config.pipe.inputQueueCapacity = 1u << 20;
             sim::MultiPipeSim multi(app.pipe, maps, config);
             for (int i = 0; i < sweep_packets; ++i) {

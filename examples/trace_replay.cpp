@@ -51,7 +51,8 @@ main(int argc, char **argv)
     const int packets = 100000;
     for (int i = 0; i < packets; ++i) {
         sim.offer(gen.next());
-        while (sim.stats().cycles * 4 < gen.nowNs())
+        while (static_cast<uint64_t>(sim.stats().cycles * config.cycleNs()) <
+               gen.nowNs())
             sim.step();
     }
     sim.drain();

@@ -1,10 +1,8 @@
 #include "ctl/controller.hpp"
 
 #include <algorithm>
-#include <exception>
 #include <memory>
 #include <set>
-#include <thread>
 
 #include "common/logging.hpp"
 #include "ebpf/vm.hpp"
@@ -90,10 +88,8 @@ CtlController::CtlController(sim::PipeSim &sim, ebpf::MapSet &maps,
 
 CtlController::CtlController(sim::MultiPipeSim &multi,
                              CtlChannelConfig config)
-    : channel_(config)
+    : multi_(&multi), channel_(config)
 {
-    sharedMode_ = multi.config().mapMode == sim::MapMode::Shared;
-    threaded_ = multi.config().threaded;
     for (size_t r = 0; r < multi.numReplicas(); ++r) {
         sims_.push_back(&multi.replica(r));
         maps_.push_back(&multi.replicaMaps(r));
@@ -206,94 +202,6 @@ CtlController::applyOnReplica(size_t r, const CtlTxn &txn,
     s.holdInjection(false);
 }
 
-void
-CtlController::applyShared(const CtlTxn &txn, uint64_t device_cycle,
-                           CtlTxnRecord &rec)
-{
-    // Shared maps: replicas advance in the same round-robin lockstep the
-    // drain uses, so cross-replica cycle interleaving stays deterministic.
-    const auto lockstep = [this](const auto &busy, const auto &act) {
-        for (;;) {
-            bool any = false;
-            for (size_t r = 0; r < sims_.size(); ++r)
-                if (busy(*sims_[r])) {
-                    act(*sims_[r]);
-                    any = true;
-                }
-            if (!any)
-                return;
-        }
-    };
-    for (sim::PipeSim *s : sims_)
-        s->setFastForwardLimit(device_cycle);
-    lockstep(
-        [device_cycle](sim::PipeSim &s) {
-            return s.cycle() < device_cycle;
-        },
-        [](sim::PipeSim &s) { s.step(); });
-
-    const auto record = [this, &rec](size_t r) {
-        rec.applyCycle[r] = sims_[r]->cycle();
-        rec.retiredBefore[r] = sims_[r]->stats().completed;
-    };
-    if (txn.kind == CtlOpKind::StatsRead) {
-        for (size_t r = 0; r < sims_.size(); ++r) {
-            record(r);
-            rec.statsSnapshot[r] = sims_[r]->stats();
-        }
-        return;
-    }
-    if (txn.kind == CtlOpKind::StatsStream) {
-        for (uint64_t i = 0; i < txn.streamCount; ++i) {
-            const uint64_t at = device_cycle + i * txn.streamPeriod;
-            for (sim::PipeSim *s : sims_)
-                s->setFastForwardLimit(at);
-            lockstep([at](sim::PipeSim &s) { return s.cycle() < at; },
-                     [](sim::PipeSim &s) { s.step(); });
-            for (size_t r = 0; r < sims_.size(); ++r) {
-                CtlStreamSample sample;
-                sample.cycle = sims_[r]->cycle();
-                sample.stats = sims_[r]->stats();
-                if (host_ != nullptr && r < host_->numQueues()) {
-                    sample.hostValid = true;
-                    sample.host =
-                        host_->queue(static_cast<unsigned>(r))
-                            .sampleAt(sample.cycle);
-                }
-                rec.streamSamples[r].push_back(std::move(sample));
-            }
-        }
-        for (size_t r = 0; r < sims_.size(); ++r)
-            record(r);
-        return;
-    }
-    if (txn.kind == CtlOpKind::Drain) {
-        for (sim::PipeSim *s : sims_)
-            s->setFastForwardLimit(UINT64_MAX);
-        lockstep([](sim::PipeSim &s) { return !s.idle(); },
-                 [](sim::PipeSim &s) { s.step(); });
-        for (size_t r = 0; r < sims_.size(); ++r)
-            record(r);
-        return;
-    }
-    // Global quiescence: hold every replica, retire every in-flight
-    // packet, apply once against the shared set.
-    for (sim::PipeSim *s : sims_)
-        s->holdInjection(true);
-    lockstep([](sim::PipeSim &s) { return !s.pipelineEmpty(); },
-             [](sim::PipeSim &s) { s.step(); });
-    for (size_t r = 0; r < sims_.size(); ++r)
-        record(r);
-    if (txn.kind == CtlOpKind::SwapProgram) {
-        for (sim::PipeSim *s : sims_)
-            s->swapPipeline(*programs_.at(txn.program));
-    } else {
-        applyHostTxn(*maps_[0], txn, rec.results[0]);
-    }
-    for (sim::PipeSim *s : sims_)
-        s->holdInjection(false);
-}
-
 CtlRunReport
 CtlController::run(const CtlSchedule &sched)
 {
@@ -318,33 +226,16 @@ CtlController::run(const CtlSchedule &sched)
         if (txn.kind == CtlOpKind::StatsStream)
             rec.streamSamples.resize(replicas);
 
-        if (sharedMode_) {
-            applyShared(txn, rec.deviceCycle, rec);
-        } else if (threaded_ && replicas > 1) {
-            // One worker per replica, one barrier per transaction (the
-            // join). Replicas share nothing in sharded mode and every
-            // worker writes only its own record slots, so the result is
-            // identical to the sequential loop below.
-            std::vector<std::exception_ptr> errors(replicas);
-            std::vector<std::thread> workers;
-            workers.reserve(replicas);
-            for (size_t r = 0; r < replicas; ++r)
-                workers.emplace_back([&, r] {
-                    try {
-                        applyOnReplica(r, txn, rec.deviceCycle, rec);
-                    } catch (...) {
-                        errors[r] = std::current_exception();
-                    }
-                });
-            for (std::thread &w : workers)
-                w.join();
-            for (const std::exception_ptr &e : errors)
-                if (e)
-                    std::rethrow_exception(e);
-        } else {
-            for (size_t r = 0; r < replicas; ++r)
-                applyOnReplica(r, txn, rec.deviceCycle, rec);
-        }
+        // Each call writes only its own replica's record slots, so the
+        // threaded and sequential schedules record the same result; a
+        // threaded simulator costs one barrier (the join) per transaction.
+        const auto apply = [&](size_t r) {
+            applyOnReplica(r, txn, rec.deviceCycle, rec);
+        };
+        if (multi_ != nullptr)
+            multi_->forEachReplica(apply);
+        else
+            apply(0);
 
         const uint64_t apply_max = *std::max_element(rec.applyCycle.begin(),
                                                      rec.applyCycle.end());

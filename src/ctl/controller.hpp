@@ -17,23 +17,22 @@
  * the shell): it samples counters at the device-arrival cycle without
  * quiescing, so pure polling costs the datapath nothing.
  *
- * Replica fan-out (MultiPipeSim):
- *  - Sharded maps: a mutation fans out to EVERY replica's shard, applied
- *    at each replica's own quiescence boundary (replicas share nothing, so
- *    per-replica boundaries make the threaded and lockstep drains
- *    identical by construction). A lookup returns one result per replica.
- *  - Shared maps: one application at a global quiescence point reached by
- *    round-robin lockstep (results recorded under replica 0).
+ * Replica fan-out (MultiPipeSim): replicas share nothing, so a mutation
+ * fans out to EVERY replica's private maps, applied at each replica's own
+ * quiescence boundary. Each replica is advanced on its own through
+ * MultiPipeSim::forEachReplica — in turn, or on one worker per replica
+ * when the simulator is threaded — and per-replica boundaries make the
+ * two schedules identical by construction. A lookup returns one result
+ * per replica.
  *
  * Differential contract. Every transaction record carries, per replica,
  * the number of packets retired before the command applied
  * (retiredBefore). Because the pipeline retires packets strictly in offer
- * order, replaying the per-replica packet stream on the sequential VM and
+ * order, replaying each replica's packet stream on the sequential VM and
  * applying each recorded transaction exactly before packet index
- * retiredBefore reproduces the device's interleaving — identical verdicts,
- * identical final map state (replayScheduleOnVm). Shared-map multi-replica
- * runs have no global sequential packet order and are excluded from VM
- * replay (covered by targeted tests instead).
+ * retiredBefore reproduces that replica's interleaving — identical
+ * verdicts, identical final map state (replayScheduleOnVm). This holds
+ * for every replica count, threaded or not.
  */
 
 #ifndef EHDL_CTL_CONTROLLER_HPP_
@@ -94,7 +93,7 @@ struct CtlTxnRecord
     std::vector<uint64_t> applyCycle;
     /** Per replica: packets retired before the command applied. */
     std::vector<uint64_t> retiredBefore;
-    /** Per replica, per op: device-side results (shared mode: replica 0). */
+    /** Per replica, per op: device-side results. */
     std::vector<std::vector<CtlOpResult>> results;
     /** stats_read only: per-replica counter snapshot at deviceCycle. */
     std::vector<sim::PipeSimStats> statsSnapshot;
@@ -127,7 +126,7 @@ class CtlController
     CtlController(sim::PipeSim &sim, ebpf::MapSet &maps,
                   CtlChannelConfig config = {});
 
-    /** Control a multi-queue simulator (both map modes). */
+    /** Control a multi-queue simulator. */
     explicit CtlController(sim::MultiPipeSim &multi,
                            CtlChannelConfig config = {});
 
@@ -167,13 +166,10 @@ class CtlController
     void validate(const CtlSchedule &sched) const;
     void applyOnReplica(size_t r, const CtlTxn &txn, uint64_t device_cycle,
                         CtlTxnRecord &rec);
-    void applyShared(const CtlTxn &txn, uint64_t device_cycle,
-                     CtlTxnRecord &rec);
 
     std::vector<sim::PipeSim *> sims_;
     std::vector<ebpf::MapSet *> maps_;
-    bool sharedMode_ = false;
-    bool threaded_ = false;
+    sim::MultiPipeSim *multi_ = nullptr;  ///< null for a single PipeSim
     host::HostDatapath *host_ = nullptr;
     CtlChannel channel_;
     std::map<std::string, const hdl::Pipeline *> programs_;

@@ -218,13 +218,13 @@ runCtlBackends(const FuzzCase &c, const RunOptions &opts,
         }
     }
 
-    // Backend: multi-queue replication, sharded maps, mutations fanned
-    // out to every replica at its own quiescence boundary.
+    // Backend: multi-queue replication, private maps per replica,
+    // mutations fanned out to every replica at its own quiescence
+    // boundary.
     if (opts.ctlReplicas >= 2) {
         ebpf::MapSet seed_maps(c.prog.maps);
         sim::MultiPipeSimConfig mc;
         mc.numReplicas = opts.ctlReplicas;
-        mc.mapMode = sim::MapMode::Sharded;
         mc.pipe = pipeConfig(opts);
         try {
             std::vector<sim::OutcomeLog> logs(mc.numReplicas);

@@ -4,6 +4,7 @@
 #include <ostream>
 
 #include "common/rng.hpp"
+#include "sim/pipe_sim.hpp"
 #include "sim/traffic.hpp"
 
 namespace ehdl::fuzz {
@@ -60,9 +61,9 @@ randomMapOp(Rng &rng, const std::vector<ebpf::MapDef> &maps)
 
 /**
  * A random timed control-plane schedule over the case's maps. Cycles span
- * the workload (arrivals are in nanoseconds, 4 ns per 250 MHz cycle) plus
- * slack past the last arrival so some transactions land on a draining or
- * empty pipeline.
+ * the workload (arrivals are in nanoseconds, converted at the simulator's
+ * default clock, which every fuzz backend runs at) plus slack past the
+ * last arrival so some transactions land on a draining or empty pipeline.
  */
 ctl::CtlSchedule
 makeCtlSchedule(uint64_t seed, const FuzzCase &c, const FuzzOptions &opts)
@@ -70,7 +71,9 @@ makeCtlSchedule(uint64_t seed, const FuzzCase &c, const FuzzOptions &opts)
     Rng rng(seed);
     const uint64_t last_ns =
         c.packets.empty() ? 0 : c.packets.back().arrivalNs;
-    const uint64_t max_cycle = last_ns / 4 + 2000;
+    const uint64_t max_cycle =
+        static_cast<uint64_t>(last_ns / sim::PipeSimConfig{}.cycleNs()) +
+        2000;
     ctl::CtlSchedule sched;
     const unsigned count =
         1 + static_cast<unsigned>(rng.below(opts.ctlMaxTxns));

@@ -1,6 +1,7 @@
 #include "sim/multi_pipe_sim.hpp"
 
 #include <algorithm>
+#include <exception>
 #include <thread>
 
 #include "common/logging.hpp"
@@ -10,28 +11,16 @@ namespace ehdl::sim {
 
 MultiPipeSim::MultiPipeSim(const hdl::Pipeline &pipe, ebpf::MapSet &maps,
                            MultiPipeSimConfig config)
-    : pipe_(pipe), sharedMaps_(maps), config_(config)
+    : config_(config)
 {
     if (config_.numReplicas == 0)
         fatal("MultiPipeSim needs at least one replica");
-    if (config_.threaded && config_.mapMode == MapMode::Shared)
-        fatal("threaded MultiPipeSim requires sharded maps: replicas "
-              "sharing one MapSet must run in lockstep");
-    if (config_.pipe.schedMode == SchedMode::EventDriven &&
-        config_.mapMode == MapMode::Shared)
-        fatal("event-driven scheduling requires sharded maps: replicas "
-              "sharing one MapSet must tick the same dense cycle sequence "
-              "to interleave their map accesses deterministically");
     for (unsigned i = 0; i < config_.numReplicas; ++i) {
-        ebpf::MapSet *replica_maps = &sharedMaps_;
-        if (config_.mapMode == MapMode::Sharded) {
-            auto shard = std::make_unique<ebpf::MapSet>(pipe_.prog.maps);
-            shard->copyContentsFrom(sharedMaps_);
-            replica_maps = shard.get();
-            shards_.push_back(std::move(shard));
-        }
+        auto shard = std::make_unique<ebpf::MapSet>(pipe.prog.maps);
+        shard->copyContentsFrom(maps);
         replicas_.push_back(
-            std::make_unique<PipeSim>(pipe_, *replica_maps, config_.pipe));
+            std::make_unique<PipeSim>(pipe, *shard, config_.pipe));
+        shards_.push_back(std::move(shard));
     }
 }
 
@@ -79,56 +68,34 @@ MultiPipeSim::offer(net::Packet pkt)
 void
 MultiPipeSim::drain()
 {
-    if (config_.threaded)
-        drainThreaded();
-    else
-        drainLockstep();
+    forEachReplica([this](size_t r) { replicas_[r]->drain(); });
 }
 
 void
-MultiPipeSim::drainLockstep()
+MultiPipeSim::forEachReplica(const std::function<void(size_t)> &fn)
 {
-    // Fixed round-robin stepping keeps shared-map runs deterministic:
-    // replica r always advances its cycle c before replica r+1 does.
-    uint64_t accepted = 0;
-    for (const auto &r : replicas_)
-        accepted += r->stats().accepted;
-    const uint64_t budget =
-        1000000ULL + 2000ULL * (accepted + pipe_.numStages());
-    uint64_t steps = 0;
-    for (;;) {
-        bool busy = false;
-        for (const auto &r : replicas_)
-            if (!r->idle()) {
-                r->step();
-                busy = true;
-            }
-        if (!busy)
-            return;
-        if (++steps > budget)
-            panic("multi-queue simulation did not drain (livelock?)");
+    const size_t n = replicas_.size();
+    if (!config_.threaded) {
+        for (size_t r = 0; r < n; ++r)
+            fn(r);
+        return;
     }
-}
-
-void
-MultiPipeSim::drainThreaded()
-{
-    // Replicas share nothing in sharded mode, so each worker produces
-    // the same outcome stream as a sequential drain of its replica.
+    std::vector<std::exception_ptr> errors(n);
     std::vector<std::thread> workers;
-    workers.reserve(replicas_.size());
-    for (const auto &r : replicas_)
-        workers.emplace_back([&sim = *r] { sim.drain(); });
+    workers.reserve(n);
+    for (size_t r = 0; r < n; ++r)
+        workers.emplace_back([&fn, &errors, r] {
+            try {
+                fn(r);
+            } catch (...) {
+                errors[r] = std::current_exception();
+            }
+        });
     for (std::thread &w : workers)
         w.join();
-}
-
-ebpf::MapSet &
-MultiPipeSim::replicaMaps(size_t i)
-{
-    if (config_.mapMode == MapMode::Shared)
-        return sharedMaps_;
-    return *shards_[i];
+    for (const std::exception_ptr &e : errors)
+        if (e)
+            std::rethrow_exception(e);
 }
 
 PipeSimStats

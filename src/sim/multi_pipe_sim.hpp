@@ -11,27 +11,21 @@
  * replica, as NIC RSS is configured for stateful programs), and the
  * replicas advance independently.
  *
- * Map state follows the two deployment models:
- *
- *  - MapMode::Sharded (default): every replica owns a private copy of
- *    the maps seeded from the loaded program's initial state, mirroring
- *    per-CPU / per-queue map instances. Replicas share nothing, so they
- *    may be driven from worker threads (config.threaded) with results
- *    identical to the sequential schedule.
- *
- *  - MapMode::Shared: all replicas reference one MapSet through their
- *    existing atomic-update and hazard machinery. Replicas are stepped
- *    in a fixed round-robin lockstep (threaded mode is rejected), which
- *    keeps runs deterministic. Cross-replica accesses to the *same* key
- *    are serialized only at cycle granularity — per-flow state keyed by
- *    the 5-tuple is exact because the dispatch hash pins a flow to one
- *    replica.
+ * Replicas share nothing. Every replica owns a private copy of the maps,
+ * seeded from the loaded program's initial state, mirroring per-CPU /
+ * per-queue map instances; its retire sinks and host queue are its own
+ * too. A drain is therefore one PipeSim::drain() per replica — one after
+ * another, or on worker threads (config.threaded) — and both schedules
+ * produce the same per-replica results. eHDL's WAR delay buffers and RAW
+ * flush-evaluation blocks protect map accesses within one pipeline, not
+ * across pipelines, so a map shared between replicas is not modeled.
  */
 
 #ifndef EHDL_SIM_MULTI_PIPE_SIM_HPP_
 #define EHDL_SIM_MULTI_PIPE_SIM_HPP_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -40,10 +34,14 @@
 
 namespace ehdl::sim {
 
-/** Map deployment model across replicas. */
+/**
+ * Map deployment model across replicas: per-replica copies is the only
+ * one. The enum and MultiPipeSimConfig::mapMode remain solely because
+ * the repo benchmark (perfbench/) assigns MapMode::Sharded; nothing else
+ * sets or reads them.
+ */
 enum class MapMode : uint8_t {
     Sharded,  ///< per-replica map copies (per-CPU semantics)
-    Shared,   ///< one MapSet behind every replica (lockstep only)
 };
 
 /** Multi-queue simulator configuration. */
@@ -51,11 +49,11 @@ struct MultiPipeSimConfig
 {
     /** Number of pipeline replicas (RX queues). */
     unsigned numReplicas = 1;
-    MapMode mapMode = MapMode::Sharded;
+    MapMode mapMode = MapMode::Sharded;  ///< see MapMode
     /**
-     * Drain replicas on std::thread workers. Requires MapMode::Sharded;
-     * per-replica event ordering is deterministic either way because
-     * replicas share no state.
+     * Run the replicas on std::thread workers (forEachReplica: drains
+     * and control-plane transactions) instead of one after another.
+     * Results are identical either way because replicas share no state.
      */
     bool threaded = false;
     /** Per-replica pipeline configuration. */
@@ -72,9 +70,8 @@ class MultiPipeSim
   public:
     /**
      * @param pipe The compiled pipeline (shared, read-only).
-     * @param maps Initial map state. Sharded mode copies it into every
-     *             replica's private shard (the set itself stays
-     *             untouched); shared mode uses it directly.
+     * @param maps Initial map state, copied into every replica's
+     *             private shard (the set itself stays untouched).
      */
     MultiPipeSim(const hdl::Pipeline &pipe, ebpf::MapSet &maps,
                  MultiPipeSimConfig config = {});
@@ -93,6 +90,16 @@ class MultiPipeSim
 
     /** Run every replica until all accepted packets have exited. */
     void drain();
+
+    /**
+     * Call @p fn(r) once per replica index r: on one worker thread per
+     * replica when config.threaded, otherwise in replica order. Replicas
+     * share nothing, so both schedules give the same results as long as
+     * @p fn touches only replica r's state. An exception thrown by @p fn
+     * reaches the caller (threaded: the lowest replica's, after every
+     * worker has joined).
+     */
+    void forEachReplica(const std::function<void(size_t)> &fn);
 
     /** Replica a packet would be dispatched to. */
     size_t dispatch(const net::Packet &pkt) const;
@@ -115,8 +122,8 @@ class MultiPipeSim
     PipeSim &replica(size_t i) { return *replicas_[i]; }
     const PipeSim &replica(size_t i) const { return *replicas_[i]; }
 
-    /** Replica @p i's maps (the shared set in MapMode::Shared). */
-    ebpf::MapSet &replicaMaps(size_t i);
+    /** Replica @p i's private maps. */
+    ebpf::MapSet &replicaMaps(size_t i) { return *shards_[i]; }
 
     /**
      * Aggregate counters: packet/flush counts sum across replicas;
@@ -141,11 +148,6 @@ class MultiPipeSim
     const EngineInfo &engineInfo() const { return replicas_.front()->engineInfo(); }
 
   private:
-    void drainLockstep();
-    void drainThreaded();
-
-    const hdl::Pipeline &pipe_;
-    ebpf::MapSet &sharedMaps_;
     MultiPipeSimConfig config_;
     std::vector<std::unique_ptr<ebpf::MapSet>> shards_;
     std::vector<std::unique_ptr<PipeSim>> replicas_;

@@ -393,7 +393,7 @@ struct PipeSim::Impl
             ringCap <<= 1;
         ringMask = ringCap - 1;
         ring.resize(ringCap);
-        cycleNs = 1e9 / static_cast<double>(owner.config().clockHz);
+        cycleNs = owner.config().cycleNs();
         entryBlock = pipe.cfg.blockOf(0);
         // O(1) elastic-buffer lookup on the per-stage hot path.
         elasticIndex.assign(pipe.numStages(), -1);

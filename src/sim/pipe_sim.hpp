@@ -81,6 +81,8 @@ struct PipeSimConfig
 {
     /** Pipeline clock (the paper's designs close timing at 250 MHz). */
     uint64_t clockHz = 250'000'000;
+    /** One pipeline cycle in nanoseconds (4 ns at 250 MHz). */
+    double cycleNs() const { return 1e9 / static_cast<double>(clockHz); }
     /** Cycles lost reloading the pipeline after a flush (appendix A.1). */
     unsigned flushReloadCycles = 4;
     /** Input queue depth; arrivals beyond it are lost packets (table 2). */

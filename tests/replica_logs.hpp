@@ -28,6 +28,13 @@ class ReplicaLogs
     ReplicaLogs(const ReplicaLogs &) = delete;
     ReplicaLogs &operator=(const ReplicaLogs &) = delete;
 
+    /** Replica @p r's retirements, in retire order. */
+    const std::vector<PacketOutcome> &
+    replica(size_t r) const
+    {
+        return logs_[r].outcomes;
+    }
+
     /** Every replica's retirements merged and sorted by packet id. */
     std::vector<PacketOutcome>
     mergedById() const

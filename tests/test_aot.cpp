@@ -4,7 +4,7 @@
  * engine"): three-way differential checks — reference VM vs interpretive
  * PipeSim vs AOT-specialized PipeSim — over every built-in evaluation
  * application under uniform, Zipf-skewed and flow-churn traffic, in
- * single-queue and 4-replica (sharded / shared / threaded) deployments.
+ * single-queue and 4-replica (sequential / threaded) deployments.
  *
  * The AOT engine's contract is *bit-identical behaviour*: not just the
  * same verdicts, but the same cycle counts, stall counters, flush
@@ -267,13 +267,12 @@ struct MultiRun
 MultiRun
 runMulti(const AppSpec &spec, const hdl::Pipeline &pipe,
          const std::vector<net::Packet> &packets, SimEngine engine,
-         MapMode map_mode, bool threaded)
+         bool threaded)
 {
     MapSet seed(spec.prog.maps);
     spec.seedMaps(seed);
     MultiPipeSimConfig mc;
     mc.numReplicas = 4;
-    mc.mapMode = map_mode;
     mc.threaded = threaded;
     mc.pipe.inputQueueCapacity = 1u << 20;
     mc.pipe.engine = engine;
@@ -286,9 +285,7 @@ runMulti(const AppSpec &spec, const hdl::Pipeline &pipe,
     out.stats = multi.stats();
     out.outcomes = logs.mergedById();
     out.info = multi.engineInfo();
-    const size_t shards =
-        map_mode == MapMode::Sharded ? multi.numReplicas() : 1;
-    for (size_t r = 0; r < shards; ++r) {
+    for (size_t r = 0; r < multi.numReplicas(); ++r) {
         const MapSet &maps = multi.replicaMaps(r);
         for (size_t m = 0; m < maps.size(); ++m)
             out.mapSnapshots.push_back(
@@ -301,7 +298,6 @@ struct MultiCase
 {
     std::string name;
     AppSpec (*make)();
-    MapMode mapMode;
     bool threaded;
 };
 
@@ -323,12 +319,8 @@ multiCases()
         {"suricata", apps::makeSuricataFilter},
     };
     for (const auto &[name, make] : named) {
-        cases.push_back({std::string(name) + "_sharded", make,
-                         MapMode::Sharded, false});
-        cases.push_back({std::string(name) + "_shared", make,
-                         MapMode::Shared, false});
-        cases.push_back({std::string(name) + "_threaded", make,
-                         MapMode::Sharded, true});
+        cases.push_back({std::string(name) + "_sharded", make, false});
+        cases.push_back({std::string(name) + "_threaded", make, true});
     }
     return cases;
 }
@@ -346,10 +338,9 @@ TEST_P(AotMultiQueueTest, FourReplicasMatchInterp)
         makeWorkload(spec, kShapes[0], 1200);
 
     const MultiRun interp = runMulti(spec, pipe, packets,
-                                     SimEngine::Interp, c.mapMode,
-                                     c.threaded);
+                                     SimEngine::Interp, c.threaded);
     const MultiRun aot = runMulti(spec, pipe, packets, SimEngine::Aot,
-                                  c.mapMode, c.threaded);
+                                  c.threaded);
 
     ASSERT_EQ(interp.stats.completed, packets.size());
     EXPECT_EQ(aot.info.engine, SimEngine::Aot);

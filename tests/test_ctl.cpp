@@ -4,7 +4,7 @@
  * parsing, quiescence semantics (a packet in flight across a host update
  * epoch must observe the entire old or entire new entry, never a torn
  * one), generation counters, quiesced program hot-swap under load,
- * replica fan-out in both map modes, threaded MultiPipeSim execution,
+ * replica fan-out to every private shard, threaded MultiPipeSim execution,
  * and the VM-replay differential contract across every example app.
  */
 
@@ -709,36 +709,6 @@ TEST(CtlMulti, ShardedMutationsFanOutToEveryReplica)
         EXPECT_TRUE(report.txns[1].results[r][0].hit);
         EXPECT_EQ(report.txns[1].results[r][0].value, halves(0x42));
     }
-}
-
-TEST(CtlMulti, SharedModeAppliesOnce)
-{
-    const ebpf::Program prog = makeTornProbe();
-    const hdl::Pipeline pipe = hdl::compile(prog);
-    MapSet shared(prog.maps);
-    sim::MultiPipeSimConfig mc;
-    mc.numReplicas = 2;
-    mc.mapMode = sim::MapMode::Shared;
-    mc.pipe.inputQueueCapacity = 1u << 20;
-    sim::MultiPipeSim multi(pipe, shared, mc);
-    sim::ReplicaLogs logs(multi);
-    offerTraffic(multi, 200);
-
-    CtlSchedule sched;
-    sched.txns.push_back(updateTxn(50, "cfg", key32(0), halves(0x9)));
-    CtlController ctrl(multi, {});
-    const CtlRunReport report = ctrl.run(sched);
-    multi.drain();
-
-    // One application against the shared set, recorded under replica 0.
-    ASSERT_EQ(report.txns[0].results[0].size(), 1u);
-    EXPECT_EQ(report.txns[0].results[0][0].rc, 0);
-    EXPECT_TRUE(report.txns[0].results[1].empty());
-    const auto v = shared.byName("cfg")->hostLookup(key32(0));
-    ASSERT_TRUE(v.has_value());
-    // No packet may have seen a torn write in either replica.
-    for (const sim::PacketOutcome &out : logs.mergedById())
-        EXPECT_EQ(out.action, XdpAction::Pass);
 }
 
 TEST(CtlMulti, ThreadedMatchesSequentialSharded)

@@ -12,8 +12,8 @@
  *    exactly (cycles, stalls, flushes, per-packet entry/exit cycles);
  *  - COW checkpoints must actually materialize on forced flush-replay,
  *    and the restored state must keep VM parity;
- *  - MultiPipeSim must aggregate the new counters and reject the
- *    event-driven + shared-maps combination.
+ *  - MultiPipeSim must aggregate the new counters across replicas, each
+ *    of which drains on its own.
  */
 
 #include <gtest/gtest.h>
@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "apps/apps.hpp"
-#include "common/logging.hpp"
 #include "ebpf/vm.hpp"
 #include "hdl/compiler.hpp"
 #include "sim/multi_pipe_sim.hpp"
@@ -260,7 +259,6 @@ TEST(CycleCore, MultiPipeSimAggregatesEventCounters)
         spec.seedMaps(maps);
         MultiPipeSimConfig mc;
         mc.numReplicas = 4;
-        mc.mapMode = MapMode::Sharded;
         mc.pipe.inputQueueCapacity = 1u << 18;
         mc.pipe.schedMode = mode;
         MultiPipeSim sim(pipe, maps, mc);
@@ -281,19 +279,6 @@ TEST(CycleCore, MultiPipeSimAggregatesEventCounters)
     // The event run's replica counters aggregate into the summary.
     EXPECT_GT(event.eventJumps, 0u);
     EXPECT_EQ(dense.eventJumps, 0u);
-}
-
-TEST(CycleCore, EventDrivenRejectsSharedMaps)
-{
-    apps::AppSpec spec = apps::makeToyCounter();
-    const hdl::Pipeline pipe = hdl::compile(spec.prog);
-    MapSet maps(spec.prog.maps);
-    spec.seedMaps(maps);
-    MultiPipeSimConfig mc;
-    mc.numReplicas = 2;
-    mc.mapMode = MapMode::Shared;
-    mc.pipe.schedMode = SchedMode::EventDriven;
-    EXPECT_THROW(MultiPipeSim(pipe, maps, mc), FatalError);
 }
 
 }  // namespace

@@ -1,9 +1,10 @@
 /**
  * @file
- * Corpus regression replay: every checked-in `tests/corpus/*.ehdlcase`
- * runs through the differential executor and must reproduce its recorded
- * expectation — fault-injected cases keep diverging, fixed-bug regression
- * cases keep agreeing — and must do so deterministically across runs.
+ * Corpus regression replay: every checked-in `.ehdlcase` file under
+ * tests/corpus runs through the differential executor and must reproduce
+ * its recorded expectation — fault-injected cases keep diverging, fixed-bug
+ * regression cases keep agreeing — and must do so deterministically across
+ * runs.
  */
 
 #include <gtest/gtest.h>

@@ -27,7 +27,6 @@ namespace {
 using apps::AppSpec;
 using ebpf::MapSet;
 using ebpf::XdpAction;
-using sim::MapMode;
 using sim::MultiPipeSim;
 using sim::MultiPipeSimConfig;
 using sim::PacketOutcome;
@@ -373,18 +372,17 @@ TEST(HostTraffic, FractionControlsPassShare)
 // --- Multi-replica attachment -----------------------------------------
 
 MultiPipeSimConfig
-multiConfig(unsigned replicas, MapMode mode, bool threaded)
+multiConfig(unsigned replicas, bool threaded)
 {
     MultiPipeSimConfig mc;
     mc.numReplicas = replicas;
-    mc.mapMode = mode;
     mc.threaded = threaded;
     mc.pipe.inputQueueCapacity = 1u << 20;
     return mc;
 }
 
 /** 4-replica run: queue r serves replica r, totals identical across
- *  sharded-lockstep, sharded-threaded and shared-lockstep modes. */
+ *  the sequential and threaded drains. */
 TEST(HostMulti, ShardedSharedThreadedAgree)
 {
     const AppSpec spec = apps::makeSimpleFirewall();
@@ -396,10 +394,10 @@ TEST(HostMulti, ShardedSharedThreadedAgree)
     hc.ringDepth = 16;
     hc.hostRateMpps = 0.5;
 
-    auto run = [&](MapMode mode, bool threaded) {
+    auto run = [&](bool threaded) {
         MapSet maps(spec.prog.maps);
         spec.seedMaps(maps);
-        MultiPipeSim multi(pipe, maps, multiConfig(4, mode, threaded));
+        MultiPipeSim multi(pipe, maps, multiConfig(4, threaded));
         HostDatapath host(hc);
         host.attach(multi);
         for (const net::Packet &pkt : packets)
@@ -418,13 +416,11 @@ TEST(HostMulti, ShardedSharedThreadedAgree)
         return per_queue;
     };
 
-    const auto sharded = run(MapMode::Sharded, false);
-    const auto threaded = run(MapMode::Sharded, true);
-    const auto shared = run(MapMode::Shared, false);
+    const auto sharded = run(false);
+    const auto threaded = run(true);
     for (unsigned q = 0; q < 4; ++q) {
         SCOPED_TRACE("queue " + std::to_string(q));
         EXPECT_EQ(sharded[q], threaded[q]);
-        EXPECT_EQ(sharded[q], shared[q]);
     }
     // RSS spread the host-destined flows across queues.
     unsigned active = 0;
@@ -440,7 +436,7 @@ TEST(HostMulti, RejectsFewerQueuesThanReplicas)
     MapSet maps(spec.prog.maps);
     spec.seedMaps(maps);
     MultiPipeSim multi(pipe, maps,
-                       multiConfig(4, MapMode::Sharded, false));
+                       multiConfig(4, false));
     HostDmaConfig hc;
     hc.numQueues = 2;
     HostDatapath host(hc);

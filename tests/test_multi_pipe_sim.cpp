@@ -1,15 +1,17 @@
 /**
  * @file
  * Multi-queue pipeline replication: RSS dispatch properties, equivalence
- * of the N-replica aggregate with a single pipeline (and with the
- * sequential reference VM) on hash-disjoint flows, determinism of the
- * threaded drain, and modeled throughput scaling.
+ * of the N-replica outcomes with the sequential reference VM, replicas
+ * that share nothing (sequential and threaded drains agree, and each
+ * replica equals a standalone pipeline fed its own stream), and modeled
+ * throughput scaling.
  */
 
 #include <gtest/gtest.h>
 
 #include <map>
 #include <set>
+#include <string>
 
 #include "apps/apps.hpp"
 #include "common/logging.hpp"
@@ -25,7 +27,6 @@ namespace {
 
 using apps::AppSpec;
 using ebpf::MapSet;
-using sim::MapMode;
 using sim::MultiPipeSim;
 using sim::MultiPipeSimConfig;
 using sim::PacketOutcome;
@@ -49,11 +50,10 @@ makeTrace(const AppSpec &spec, uint64_t num_flows, int num_packets,
 }
 
 MultiPipeSimConfig
-bigQueues(unsigned replicas, MapMode mode, bool threaded = false)
+bigQueues(unsigned replicas, bool threaded = false)
 {
     MultiPipeSimConfig config;
     config.numReplicas = replicas;
-    config.mapMode = mode;
     config.threaded = threaded;
     config.pipe.inputQueueCapacity = 1u << 20;
     return config;
@@ -65,7 +65,7 @@ TEST(MultiPipeSimDispatch, SymmetricAcrossFlowDirections)
     const hdl::Pipeline pipe = hdl::compile(spec.prog);
     MapSet maps(spec.prog.maps);
     spec.seedMaps(maps);
-    MultiPipeSim multi(pipe, maps, bigQueues(4, MapMode::Sharded));
+    MultiPipeSim multi(pipe, maps, bigQueues(4));
 
     // Forward and reverse packets of the same flow land on one replica.
     const auto packets = makeTrace(spec, 64, 512, 0.5);
@@ -93,7 +93,7 @@ TEST(MultiPipeSimDispatch, BalancesManyFlows)
     const hdl::Pipeline pipe = hdl::compile(spec.prog);
     MapSet maps(spec.prog.maps);
     spec.seedMaps(maps);
-    MultiPipeSim multi(pipe, maps, bigQueues(4, MapMode::Sharded));
+    MultiPipeSim multi(pipe, maps, bigQueues(4));
 
     const auto packets = makeTrace(spec, 1024, 4096, 0.0);
     std::vector<int> per_replica(4, 0);
@@ -112,22 +112,11 @@ TEST(MultiPipeSimDispatch, NonIpv4PinsToReplicaZero)
     const hdl::Pipeline pipe = hdl::compile(spec.prog);
     MapSet maps(spec.prog.maps);
     spec.seedMaps(maps);
-    MultiPipeSim multi(pipe, maps, bigQueues(4, MapMode::Sharded));
+    MultiPipeSim multi(pipe, maps, bigQueues(4));
 
     net::Packet raw(64);  // zero-filled: not an IPv4 frame
     EXPECT_EQ(MultiPipeSim::symmetricFlowHash(raw), 0u);
     EXPECT_EQ(multi.dispatch(raw), 0u);
-}
-
-TEST(MultiPipeSim, RejectsThreadedSharedMaps)
-{
-    const AppSpec spec = apps::makeSimpleFirewall();
-    const hdl::Pipeline pipe = hdl::compile(spec.prog);
-    MapSet maps(spec.prog.maps);
-    spec.seedMaps(maps);
-    EXPECT_THROW(
-        MultiPipeSim(pipe, maps, bigQueues(2, MapMode::Shared, true)),
-        FatalError);
 }
 
 TEST(MultiPipeSim, RejectsZeroReplicas)
@@ -136,86 +125,11 @@ TEST(MultiPipeSim, RejectsZeroReplicas)
     const hdl::Pipeline pipe = hdl::compile(spec.prog);
     MapSet maps(spec.prog.maps);
     spec.seedMaps(maps);
-    EXPECT_THROW(MultiPipeSim(pipe, maps, bigQueues(0, MapMode::Sharded)),
+    EXPECT_THROW(MultiPipeSim(pipe, maps, bigQueues(0)),
                  FatalError);
 }
 
-/**
- * Hash-disjoint flows: the aggregate of N replicas with one shared map
- * set must match both a single-pipeline run and the sequential VM —
- * same per-packet verdicts and bytes, identical final map state. Flow
- * state is keyed by the 5-tuple, and the symmetric dispatch pins each
- * flow (both directions) to one replica, so replication must not be
- * observable.
- */
-void
-checkSharedEquivalence(const AppSpec &spec, uint64_t flows, int npkts,
-                       double reverse)
-{
-    const hdl::Pipeline pipe = hdl::compile(spec.prog);
-
-    const auto packets = makeTrace(spec, flows, npkts, reverse);
-
-    MapSet multi_maps(spec.prog.maps);
-    spec.seedMaps(multi_maps);
-    MultiPipeSim multi(pipe, multi_maps, bigQueues(4, MapMode::Shared));
-    ReplicaLogs logs(multi);
-    for (const net::Packet &pkt : packets)
-        ASSERT_TRUE(multi.offer(pkt));
-    multi.drain();
-    EXPECT_EQ(multi.stats().completed, static_cast<uint64_t>(npkts));
-
-    MapSet single_maps(spec.prog.maps);
-    spec.seedMaps(single_maps);
-    sim::PipeSimConfig single_config;
-    single_config.inputQueueCapacity = 1u << 20;
-    sim::OutcomeLog single_log;
-    sim::PipeSim single(pipe, single_maps, single_config);
-    single.attachRetireSink(&single_log);
-    for (const net::Packet &pkt : packets)
-        ASSERT_TRUE(single.offer(pkt));
-    single.drain();
-
-    MapSet vm_maps(spec.prog.maps);
-    spec.seedMaps(vm_maps);
-    ebpf::Vm vm(spec.prog, vm_maps);
-
-    std::map<uint64_t, const PacketOutcome *> single_by_id;
-    for (const PacketOutcome &out : single_log.outcomes)
-        single_by_id[out.id] = &out;
-
-    const auto merged = logs.mergedById();
-    ASSERT_EQ(merged.size(), packets.size());
-    int mismatches = 0;
-    for (size_t i = 0; i < packets.size(); ++i) {
-        net::Packet copy = packets[i];
-        const ebpf::ExecResult ref = vm.run(copy);
-        const PacketOutcome &out = merged[i];
-        ASSERT_EQ(out.id, packets[i].id);
-        const PacketOutcome &sout = *single_by_id.at(out.id);
-        if (out.action != ref.action || out.bytes != copy.bytes() ||
-            out.redirectIfindex != ref.redirectIfindex)
-            ++mismatches;
-        if (out.action != sout.action || out.bytes != sout.bytes)
-            ++mismatches;
-    }
-    EXPECT_EQ(mismatches, 0);
-    EXPECT_TRUE(MapSet::equal(multi_maps, vm_maps))
-        << "multi:\n" << multi_maps.dump() << "\nvm:\n" << vm_maps.dump();
-    EXPECT_TRUE(MapSet::equal(multi_maps, single_maps));
-}
-
-TEST(MultiPipeSimEquivalence, FirewallSharedMaps)
-{
-    checkSharedEquivalence(apps::makeSimpleFirewall(), 96, 1500, 0.3);
-}
-
-TEST(MultiPipeSimEquivalence, LeakyBucketSharedMaps)
-{
-    checkSharedEquivalence(apps::makeLeakyBucket(), 32, 1500, 0.0);
-}
-
-/** Per-packet outcomes in sharded mode also match the sequential VM. */
+/** Per-packet outcomes of sharded replicas match the sequential VM. */
 TEST(MultiPipeSimEquivalence, FirewallShardedOutcomes)
 {
     const AppSpec spec = apps::makeSimpleFirewall();
@@ -224,7 +138,7 @@ TEST(MultiPipeSimEquivalence, FirewallShardedOutcomes)
 
     MapSet seed_maps(spec.prog.maps);
     spec.seedMaps(seed_maps);
-    MultiPipeSim multi(pipe, seed_maps, bigQueues(4, MapMode::Sharded));
+    MultiPipeSim multi(pipe, seed_maps, bigQueues(4));
     ReplicaLogs logs(multi);
     for (const net::Packet &pkt : packets)
         ASSERT_TRUE(multi.offer(pkt));
@@ -264,7 +178,7 @@ TEST(MultiPipeSimDeterminism, ThreadedRunsAreIdentical)
         MapSet maps(spec.prog.maps);
         spec.seedMaps(maps);
         MultiPipeSim multi(pipe, maps,
-                           bigQueues(4, MapMode::Sharded, true));
+                           bigQueues(4, true));
         ReplicaLogs logs(multi);
         for (const net::Packet &pkt : packets)
             ASSERT_TRUE(multi.offer(pkt));
@@ -291,32 +205,126 @@ TEST(MultiPipeSimDeterminism, ThreadedRunsAreIdentical)
     }
 }
 
-/** Threaded and lockstep drains of sharded replicas agree exactly. */
-TEST(MultiPipeSimDeterminism, ThreadedMatchesLockstep)
+void
+expectSameOutcomes(const std::vector<PacketOutcome> &a,
+                   const std::vector<PacketOutcome> &b)
+{
+    ASSERT_EQ(a.size(), b.size());
+    for (size_t i = 0; i < a.size(); ++i) {
+        SCOPED_TRACE("outcome " + std::to_string(i));
+        EXPECT_EQ(a[i].id, b[i].id);
+        EXPECT_EQ(a[i].action, b[i].action);
+        EXPECT_EQ(a[i].redirectIfindex, b[i].redirectIfindex);
+        EXPECT_EQ(a[i].trapped, b[i].trapped);
+        EXPECT_EQ(a[i].entryCycle, b[i].entryCycle);
+        EXPECT_EQ(a[i].exitCycle, b[i].exitCycle);
+        EXPECT_EQ(a[i].bytes, b[i].bytes);
+    }
+}
+
+/** Every counter of the bit-identical contract (not the diagnostics). */
+void
+expectSameContractedStats(const sim::PipeSimStats &a,
+                          const sim::PipeSimStats &b)
+{
+    EXPECT_EQ(a.cycles, b.cycles);
+    EXPECT_EQ(a.offered, b.offered);
+    EXPECT_EQ(a.accepted, b.accepted);
+    EXPECT_EQ(a.lost, b.lost);
+    EXPECT_EQ(a.completed, b.completed);
+    EXPECT_EQ(a.flushEvents, b.flushEvents);
+    EXPECT_EQ(a.flushedPackets, b.flushedPackets);
+    EXPECT_EQ(a.replayedStages, b.replayedStages);
+    EXPECT_EQ(a.stallCycles, b.stallCycles);
+    EXPECT_EQ(a.passPackets, b.passPackets);
+    EXPECT_EQ(a.dropPackets, b.dropPackets);
+    EXPECT_EQ(a.txPackets, b.txPackets);
+    EXPECT_EQ(a.redirectPackets, b.redirectPackets);
+    EXPECT_EQ(a.abortedPackets, b.abortedPackets);
+}
+
+/**
+ * Replicas share nothing: the sequential and threaded drains agree on
+ * every replica's outcomes (cycles included) and contracted counters,
+ * and each replica equals a standalone PipeSim fed that replica's
+ * dispatch() stream over maps copied from the seed.
+ */
+TEST(MultiPipeSimDeterminism, ThreadedMatchesSequential)
 {
     const AppSpec spec = apps::makeSimpleFirewall();
     const hdl::Pipeline pipe = hdl::compile(spec.prog);
     const auto packets = makeTrace(spec, 48, 1200, 0.25);
+    MapSet seed(spec.prog.maps);
+    spec.seedMaps(seed);
 
-    auto run = [&](bool threaded) {
-        MapSet maps(spec.prog.maps);
-        spec.seedMaps(maps);
-        MultiPipeSim multi(pipe, maps,
-                           bigQueues(4, MapMode::Sharded, threaded));
-        ReplicaLogs logs(multi);
-        for (const net::Packet &pkt : packets)
-            EXPECT_TRUE(multi.offer(pkt));
-        multi.drain();
-        return logs.mergedById();
+    struct Replica
+    {
+        std::vector<net::Packet> stream;  ///< as dispatched to it
+        std::vector<PacketOutcome> outcomes;
+        sim::PipeSimStats stats;
+        std::string maps;  ///< final shard contents (MapSet::dump)
     };
-
+    auto run = [&](bool threaded) {
+        MultiPipeSim multi(pipe, seed, bigQueues(4, threaded));
+        ReplicaLogs logs(multi);
+        std::vector<Replica> out(multi.numReplicas());
+        for (net::Packet pkt : packets) {
+            pkt.rxQueueIndex = static_cast<uint32_t>(multi.dispatch(pkt));
+            out[pkt.rxQueueIndex].stream.push_back(pkt);
+            EXPECT_TRUE(multi.offer(std::move(pkt)));
+        }
+        multi.drain();
+        for (size_t r = 0; r < out.size(); ++r) {
+            out[r].outcomes = logs.replica(r);
+            out[r].stats = multi.replica(r).stats();
+            out[r].maps = multi.replicaMaps(r).dump();
+        }
+        return out;
+    };
+    const auto sequential = run(false);
     const auto threaded = run(true);
-    const auto lockstep = run(false);
-    ASSERT_EQ(threaded.size(), lockstep.size());
-    for (size_t i = 0; i < threaded.size(); ++i) {
-        EXPECT_EQ(threaded[i].id, lockstep[i].id);
-        EXPECT_EQ(threaded[i].action, lockstep[i].action);
-        EXPECT_EQ(threaded[i].bytes, lockstep[i].bytes);
+
+    for (size_t r = 0; r < sequential.size(); ++r) {
+        SCOPED_TRACE("replica " + std::to_string(r));
+        EXPECT_GT(sequential[r].stats.completed, 0u);
+        expectSameOutcomes(sequential[r].outcomes, threaded[r].outcomes);
+        expectSameContractedStats(sequential[r].stats, threaded[r].stats);
+        EXPECT_EQ(sequential[r].maps, threaded[r].maps);
+
+        MapSet maps(spec.prog.maps);
+        maps.copyContentsFrom(seed);
+        sim::OutcomeLog log;
+        sim::PipeSim alone(pipe, maps, bigQueues(1).pipe);
+        alone.attachRetireSink(&log);
+        for (const net::Packet &pkt : sequential[r].stream)
+            EXPECT_TRUE(alone.offer(pkt));
+        alone.drain();
+        expectSameOutcomes(sequential[r].outcomes, log.outcomes);
+        expectSameContractedStats(sequential[r].stats, alone.stats());
+        EXPECT_EQ(sequential[r].maps, maps.dump());
+    }
+}
+
+/** A worker's exception reaches the caller once every replica has run. */
+TEST(MultiPipeSim, ForEachReplicaForwardsExceptions)
+{
+    const AppSpec spec = apps::makeSimpleFirewall();
+    const hdl::Pipeline pipe = hdl::compile(spec.prog);
+    MapSet maps(spec.prog.maps);
+    for (const bool threaded : {false, true}) {
+        MultiPipeSim multi(pipe, maps, bigQueues(4, threaded));
+        std::vector<int> calls(multi.numReplicas(), 0);
+        const auto fail_on_one = [&calls](size_t r) {
+            ++calls[r];
+            if (r == 1)
+                fatal("replica ", r, " failed");
+        };
+        EXPECT_THROW(multi.forEachReplica(fail_on_one), FatalError);
+        // Sequential order stops at the throw; workers all run.
+        const std::vector<int> expected =
+            threaded ? std::vector<int>{1, 1, 1, 1}
+                     : std::vector<int>{1, 1, 0, 0};
+        EXPECT_EQ(calls, expected) << "threaded=" << threaded;
     }
 }
 
@@ -337,7 +345,7 @@ TEST(MultiPipeSimScaling, FourReplicasBeatThreeX)
         MapSet maps(spec.prog.maps);
         spec.seedMaps(maps);
         MultiPipeSim multi(pipe, maps,
-                           bigQueues(replicas, MapMode::Sharded));
+                           bigQueues(replicas));
         for (const net::Packet &pkt : packets)
             EXPECT_TRUE(multi.offer(pkt));
         multi.drain();

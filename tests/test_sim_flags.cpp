@@ -147,21 +147,18 @@ TEST(SimFlags, OneErrorWordingPerFailure)
 
 TEST(SimFlags, OneReplicaRunsShardedAndSequential)
 {
-    // Map mode and threading mean nothing to one replica, so the
-    // combination MultiPipeSim rejects for N > 1 (shared maps with event
-    // scheduling or threads) still runs on one.
+    // Threading means nothing to one replica: --threaded is dropped there
+    // and kept for N > 1; the sched mode passes through either way.
     SimFlags flags(SimFlagGroups::EngineAndRun);
     feed(flags, {"--sched", "event", "--threaded"});
-    flags.multi.mapMode = sim::MapMode::Shared;
     const sim::MultiPipeSimConfig one = flags.runConfig();
-    EXPECT_EQ(one.mapMode, sim::MapMode::Sharded);
     EXPECT_FALSE(one.threaded);
     EXPECT_EQ(one.pipe.schedMode, sim::SchedMode::EventDriven);
 
     feed(flags, {"--replicas", "2"});
     const sim::MultiPipeSimConfig two = flags.runConfig();
-    EXPECT_EQ(two.mapMode, sim::MapMode::Shared);
     EXPECT_TRUE(two.threaded);
+    EXPECT_EQ(two.pipe.schedMode, sim::SchedMode::EventDriven);
 }
 
 TEST(SimFlags, HelpListsEachAcceptedGroupWithDefaults)

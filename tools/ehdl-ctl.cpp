@@ -18,9 +18,9 @@
  *
  * `--verify` replays the recorded apply log on the reference VM and
  * compares verdicts, host op results and final map state with the
- * fuzzer's fuzz::compareCtlReplica, exiting 1 on the first divergence;
- * it is available for the single-pipeline and sharded multi-queue
- * backends (shared-map mode has no global sequential packet order).
+ * fuzzer's fuzz::compareCtlReplica, exiting 1 on the first divergence.
+ * Replicas share nothing (each owns private maps), so every replica's
+ * stream replays on its own VM, for any replica count, threaded or not.
  */
 
 #include <algorithm>
@@ -67,16 +67,14 @@ usage(std::ostream &os)
           "  --app NAME        application (default router_ipv4; accepts\n"
           "                    the app: prefix and ehdlc names)\n"
           "  --swap L=NAME     register app NAME as swap_program target L\n"
-          "  --map-mode M      sharded|shared replica maps (default\n"
-          "                    sharded; no effect on one replica)\n"
           "  --rate GBPS       line rate in Gbps (default 100)\n"
           "  --rtt N           mailbox round-trip latency, shell cycles\n"
           "                    (default 700 ~= 2.8us at 250MHz)\n"
           "  --inflight N      mailbox in-flight transaction window\n"
           "                    (default 8)\n"
           "  --poll-stats N    add a stats_read every N cycles\n"
-          "  --verify          cross-check against the reference VM\n"
-          "                    replay (single or sharded backends)\n"
+          "  --verify          cross-check every replica against the\n"
+          "                    reference VM replay\n"
           "  --quiet           suppress the per-transaction table\n"
           "\n"
           "--stats-out writes the apply log and final stats as JSON.\n"
@@ -217,14 +215,6 @@ run(int argc, char **argv)
             if (!eq || eq == v || !eq[1])
                 fatal("--swap requires LABEL=APP");
             opt.swaps.emplace_back(std::string(v, eq), std::string(eq + 1));
-        } else if (arg == "--map-mode") {
-            const char *v = value();
-            if (v && std::string(v) == "sharded")
-                opt.flags.multi.mapMode = sim::MapMode::Sharded;
-            else if (v && std::string(v) == "shared")
-                opt.flags.multi.mapMode = sim::MapMode::Shared;
-            else
-                fatal("--map-mode must be sharded or shared");
         } else if (arg == "--rate") {
             opt.rateGbps =
                 static_cast<double>(parseNum<uint64_t>("--rate", value()));
@@ -254,9 +244,6 @@ run(int argc, char **argv)
         fatal("a SCHEDULE.ctl file is required");
     }
     const sim::MultiPipeSimConfig config = opt.flags.runConfig();
-    if (opt.verify && config.mapMode == sim::MapMode::Shared)
-        fatal("--verify is unavailable with --map-mode shared (no global "
-              "sequential packet order to replay)");
 
     // Application + swap targets: compile everything up front.
     const apps::AppSpec spec = apps::appByName(opt.app);
@@ -283,7 +270,8 @@ run(int argc, char **argv)
     for (uint64_t i = 0; i < opt.flags.packets; ++i)
         packets.push_back(gen.next());
     if (opt.pollStats > 0) {
-        const uint64_t end = gen.nowNs() / 4 + 2000;
+        const uint64_t end =
+            static_cast<uint64_t>(gen.nowNs() / config.pipe.cycleNs()) + 2000;
         addStatsPolling(sched, opt.pollStats, end);
     }
 
@@ -378,10 +366,6 @@ run(int argc, char **argv)
                                           ? "pipesim"
                                           : "multipipesim"))
             .set("replicas", Json::integer(config.numReplicas))
-            .set("mapMode",
-                 Json::str(opt.flags.multi.mapMode == sim::MapMode::Sharded
-                               ? "sharded"
-                               : "shared"))
             .set("threaded", Json::boolean(opt.flags.multi.threaded))
             .set("channel",
                  Json()

@@ -418,7 +418,8 @@ cmdSim(int argc, char **argv, const std::string &section)
                     out.action == ebpf::XdpAction::Redirect) {
                     net::Packet pkt(out.bytes);
                     pkt.id = out.id;
-                    pkt.arrivalNs = out.exitCycle * 4;
+                    pkt.arrivalNs = static_cast<uint64_t>(
+                        out.exitCycle * config.pipe.cycleNs());
                     emitted.push_back(std::move(pkt));
                 }
             }

@@ -116,10 +116,8 @@ sim::MultiPipeSimConfig
 SimFlags::runConfig() const
 {
     sim::MultiPipeSimConfig config = multi;
-    if (config.numReplicas == 1) {
-        config.mapMode = sim::MapMode::Sharded;
+    if (config.numReplicas == 1)
         config.threaded = false;
-    }
     return config;
 }
 

@@ -47,8 +47,8 @@ struct SimFlags
     std::string help() const;
 
     /**
-     * The configuration to run. Map mode and threading mean nothing to
-     * one replica, so one replica always runs sharded and sequential.
+     * The configuration to run. Threading means nothing to one replica,
+     * so one replica always runs sequential.
      */
     sim::MultiPipeSimConfig runConfig() const;
 
